@@ -88,7 +88,6 @@ _CONFIG_KEYS = {
     "p_values": None,
     "steps": "steps",
     "shots": "shots",
-    "trajectories": "trajectories",
     "seed": "seed",
     "mode": "mode",
     "learning_rate": "lr",
@@ -117,7 +116,6 @@ _CLI_DEFAULTS = {
     "channel": "depolarizing",
     "steps": "1,2,3,4",
     "shots": 5000,
-    "trajectories": 2000,
     "seed": 7,
     "mode": "exact",
     "lr": 0.02,
@@ -166,7 +164,6 @@ def _add_common(parser):
     parser.add_argument("--grid", action="store_true", help="use the 11-point strength grid")
     parser.add_argument("--steps", default="1,2,3,4", help="comma-separated step counts")
     parser.add_argument("--shots", type=int, default=5000)
-    parser.add_argument("--trajectories", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     parser.add_argument("--lr", type=float, default=0.02, help="gradient-descent learning rate")
@@ -281,7 +278,6 @@ def cmd_experiment(args) -> int:
         p_values=tuple(_p_list(args)),
         steps=_steps(args),
         shots=args.shots,
-        trajectories=args.trajectories,
         seed=args.seed,
         mode=args.mode,
         learning_rate=args.lr,

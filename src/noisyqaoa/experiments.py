@@ -52,7 +52,6 @@ class ExperimentConfig:
     p_values: tuple = field(default_factory=lambda: tuple(noise_grid()))
     steps: tuple = (1, 2, 3, 4)
     shots: int = 5000
-    trajectories: int = 2000
     seed: int = 7
     mode: str = "exact"  # "exact" (density matrix) | "sampled" (trajectories)
     learning_rate: float = 0.02
@@ -62,8 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         self.p_values = tuple(float(p) for p in self.p_values)
         self.steps = tuple(int(n) for n in self.steps)
-        if self.shots < 1 or self.trajectories < 1:
-            raise ValueError("shots and trajectories must be >= 1")
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
         if any(not 0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("noise strengths must lie in [0, 1]")
         if any(n < 1 for n in self.steps):

@@ -52,6 +52,20 @@ class NoiseChannel:
             S += np.kron(Kd, Kd.conj())
         return S
 
+    @cached_property
+    def unitary_mixture(self) -> tuple | None:
+        """(weights, unitaries) when every K_i^dag K_i = w_i I, else None.
+
+        Such a channel applies K_i / sqrt(w_i) with a probability w_i that
+        does not depend on the state. A zero operator has weight 0 and is
+        kept as the zero matrix.
+        """
+        weights = np.array([np.trace(M).real / 2.0 for M in self.povm])
+        if any(np.abs(M - w * _I2).max() > CPTP_TOL for M, w in zip(self.povm, weights)):
+            return None
+        unitaries = tuple(K / np.sqrt(w) if w > 0.0 else K for K, w in zip(self.kraus, weights))
+        return weights, unitaries
+
     @property
     def num_operators(self) -> int:
         return len(self.kraus)

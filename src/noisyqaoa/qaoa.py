@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxcut import ProblemHamiltonian, WeightedGraph, exact_expectation
-from .noise import NoiseChannel
+from .noise import CPTP_TOL, NoiseChannel
 from .statevector import (
     MAX_DENSE_QUBITS,
     DensityMatrix,
     GateOp,
     SimulationError,
     StateVector,
+    apply_1q,
     apply_gate,
     apply_superop_1q,
     expand_diag,
@@ -292,48 +293,46 @@ def noise_event_count(circuit: GateSequence) -> int:
 
 
 def _apply_gate_batch(states: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
-    T = states.shape[0]
-    t = states.reshape((T,) + (2,) * m)
-    axes = tuple(1 + m - 1 - q for q in gate.targets)
-    k = len(axes)
-    t = np.moveaxis(t, axes, range(1, k + 1))
-    rest = t.shape[k + 1:]
-    flat = t.reshape(T, 1 << k, -1)
     if gate.diag is not None:
-        flat = gate.diag[None, :, None] * flat
-    else:
-        flat = np.einsum("ab,tbr->tar", gate.matrix, flat)
-    t = np.moveaxis(flat.reshape((T,) + (2,) * k + rest), range(1, k + 1), axes)
-    return t.reshape(T, -1)
+        return states * expand_diag(m, gate.targets, gate.diag)
+    if gate.kind != "single":
+        raise ValueError("trajectory kernels take single-qubit and diagonal two-qubit gates only")
+    return apply_1q(states, gate.matrix, gate.targets[0])
+
+
+def _select_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Branch index for each uniform r, by the rule of sample_kraus.
+
+    probs holds the branch probabilities on its first axis and broadcasts
+    against r. Branch l is the first whose cumulative probability exceeds
+    r; when rounding leaves r at or above the total, the last branch of
+    nonzero probability is taken.
+    """
+    k = len(probs)
+    chosen = (r >= np.cumsum(probs, axis=0)).sum(axis=0)
+    last = k - 1 - np.argmax(probs[::-1] > 1e-15, axis=0)
+    return np.where(chosen < k, chosen, last)
 
 
 def _sample_kraus_batch(
     states: np.ndarray, channel: NoiseChannel, qubit: int, r: np.ndarray, m: int
 ) -> np.ndarray:
     T = states.shape[0]
-    t = states.reshape((T,) + (2,) * m)
-    ax = 1 + m - 1 - qubit
-    t = np.moveaxis(t, ax, 1)
-    rest = t.shape[2:]
-    v = t.reshape(T, 2, -1)
-    sigma = np.einsum("tar,tbr->tab", v, v.conj())
+    v = states.reshape(T, 1 << (m - 1 - qubit), 2, 1 << qubit)
+    sigma = np.einsum("taub,tavb->tuv", v, v.conj())
     probs = np.stack([np.einsum("ab,tba->t", M, sigma).real for M in channel.povm])
     if np.any(probs.sum(axis=0) <= 1e-12):
         raise SimulationError("all Kraus branch probabilities vanished in batch")
-    cdf = np.cumsum(probs, axis=0)
-    chosen = (r[None, :] >= cdf).sum(axis=0)
-    np.clip(chosen, 0, len(channel.kraus) - 1, out=chosen)
+    chosen = _select_branches(probs, r)
     out = np.empty_like(v)
     for i, K in enumerate(channel.kraus):
         mask = chosen == i
         if mask.any():
-            out[mask] = np.einsum("ab,tbr->tar", K, v[mask])
-    nrm = np.sqrt(np.einsum("tar,tar->t", out, out.conj()).real)
+            out[mask] = apply_1q(v[mask], K, qubit)
+    nrm = np.sqrt(np.einsum("taub,taub->t", out, out.conj()).real)
     if np.any(nrm <= 1e-12):
         raise SimulationError("a selected Kraus branch annihilated the state")
-    out = out / nrm[:, None, None]
-    t = np.moveaxis(out.reshape((T, 2) + rest), 1, ax)
-    return t.reshape(T, -1)
+    return (out / nrm[:, None, None, None]).reshape(T, -1)
 
 
 def trajectory_states(
@@ -348,7 +347,20 @@ def trajectory_states(
     Each trajectory t consumes the uniform stream derived from
     (seed, t), identical to run_trajectory with rng =
     np.random.default_rng([seed, t]); alternatively a pre-drawn
-    (T, events) uniform matrix may be supplied.
+    (T, events) uniform matrix may be supplied. The uniform r of a noise
+    event picks its Kraus branch as sample_kraus does: the first branch
+    whose cumulative probability exceeds r, or the last branch of nonzero
+    probability when rounding leaves r at or above the total.
+
+    A unitary-mixture channel (every K_i^dag K_i = w_i I, as for
+    dephasing, bit-flip, depolarizing and such custom sets) has branch
+    probabilities w_i that do not depend on the state. For it every
+    branch is picked up front from the fixed cdf of the w_i, all
+    trajectories that pick only identity branches share one ideal state,
+    and the rest evolve as one batch with K_l / sqrt(w_l) applied where
+    the branch is not the identity. Any other channel (amplitude damping,
+    say) draws each branch from the state's own probabilities and
+    renormalizes.
     """
     m = circuit.num_qubits
     events = noise_event_count(circuit)
@@ -360,14 +372,36 @@ def trajectory_states(
             uniforms[t] = np.random.default_rng([seed, t]).random(events)
     elif uniforms.shape != (num_traj, events):
         raise ValueError(f"uniform matrix has shape {uniforms.shape}, expected ({num_traj}, {events})")
-    states = np.full((num_traj, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
+    mixture = channel.unitary_mixture
+    if mixture is None:
+        states = np.full((num_traj, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
+        col = 0
+        for gate in circuit.gates:
+            states = _apply_gate_batch(states, gate, m)
+            for q in gate.targets:
+                states = _sample_kraus_batch(states, channel, q, uniforms[:, col], m)
+                col += 1
+        return states
+    weights, unitaries = mixture
+    faults = [l for l, U in enumerate(unitaries) if np.abs(U - np.eye(2)).max() > CPTP_TOL]
+    branches = _select_branches(weights[:, None, None], uniforms)
+    faulty = np.flatnonzero(np.isin(branches, faults).any(axis=1))
+    # row 0 stands for every error-free trajectory
+    picks = np.vstack([np.full(events, -1), branches[faulty]])
+    states = np.full((len(picks), 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
     col = 0
     for gate in circuit.gates:
         states = _apply_gate_batch(states, gate, m)
         for q in gate.targets:
-            states = _sample_kraus_batch(states, channel, q, uniforms[:, col], m)
+            for l in faults:
+                rows = np.flatnonzero(picks[:, col] == l)
+                if rows.size:
+                    states[rows] = apply_1q(states[rows], unitaries[l], q)
             col += 1
-    return states
+    out = np.empty((num_traj, 1 << m), dtype=complex)
+    out[:] = states[0]
+    out[faulty] = states[1:]
+    return out
 
 
 def output_fidelity(ideal: StateVector, noisy: DensityMatrix) -> float:

@@ -113,7 +113,6 @@ class TestExperimentConfig:
             {"p_values": (1.5,)},
             {"steps": (0,)},
             {"shots": 0},
-            {"trajectories": 0},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -1,7 +1,10 @@
 """QAOA compilation and execution against independent dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from noisyqaoa import (
@@ -22,6 +25,7 @@ from noisyqaoa import (
     with_shifted_gate,
 )
 from noisyqaoa.experiments import ci_cost
+from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import noise_event_count
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,6 +35,43 @@ def full_op(M, q, m):
     """Dense m-qubit operator acting as M on qubit q (little-endian)."""
     lo, hi = 1 << q, 1 << (m - 1 - q)
     return np.kron(np.eye(hi), np.kron(M, np.eye(lo)))
+
+
+PAULI_KINDS = ("dephasing", "bitflip", "depolarizing")
+
+TRIANGLE = WeightedGraph(3, ((0, 1, 1.0), (0, 2, -0.6), (1, 2, 0.8)))
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def amplitude_damping(gamma, extra=()):
+    return custom_channel(
+        [np.diag([1.0, math.sqrt(1.0 - gamma)]), math.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]]), *extra]
+    )
+
+
+class ConstantRng:
+    """Stands in for a Generator whose every uniform is r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def assert_rows_match_reference(channel, seed, T=4):
+    """On a random n=2 triangle circuit, trajectory_states row t equals
+    run_trajectory on stream (seed, t)."""
+    rng = np.random.default_rng(seed)
+    seq = build_circuit(TRIANGLE, QaoaParams(rng.normal(size=2), rng.normal(size=2)))
+    batch = trajectory_states(seq, channel, T, seed=seed)
+    for t in range(T):
+        single = run_trajectory(seq, channel, np.random.default_rng([seed, t]))
+        assert np.abs(batch[t] - single.amplitudes).max() < 1e-12
 
 
 def zz_diag(i, j, m):
@@ -217,6 +258,51 @@ class TestTrajectories:
         exact = run_exact_noisy(seq, channel).entries
         assert np.abs(avg - exact).max() < 0.02
 
+    @given(kind=st.sampled_from(PAULI_KINDS), p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_named_channels_match_reference(self, kind, p, seed):
+        channel = make_channel(kind, p)
+        assert channel.unitary_mixture is not None
+        assert_rows_match_reference(channel, seed)
+
+    @given(p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_custom_unitary_mixture_matches_reference(self, p, seed):
+        rng = np.random.default_rng(seed + 1)
+        w = rng.dirichlet([1.0, 1.0])
+        kraus = [math.sqrt(1.0 - p) * np.eye(2)] + [math.sqrt(p * wi) * random_unitary(rng) for wi in w]
+        channel = custom_channel(kraus)
+        assert channel.unitary_mixture is not None
+        assert_rows_match_reference(channel, seed)
+
+    @given(gamma=st.floats(0.01, 1.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_amplitude_damping_matches_reference(self, gamma, seed):
+        channel = amplitude_damping(gamma)
+        assert channel.unitary_mixture is None
+        assert_rows_match_reference(channel, seed)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [make_channel(kind, 0.0) for kind in PAULI_KINDS]
+        + [
+            custom_channel([np.eye(2), np.zeros((2, 2))]),
+            # weights 0.95 + 0.05 sum to just below 1 in floating point
+            custom_channel([math.sqrt(0.95) * np.eye(2), math.sqrt(0.05) * np.diag([1.0, -1.0]), np.zeros((2, 2))]),
+            amplitude_damping(0.3, [np.zeros((2, 2))]),
+        ],
+        ids=list(PAULI_KINDS) + ["custom-zero-operator", "mixture-cdf-below-one", "damping-zero-operator"],
+    )
+    def test_uniform_below_one_takes_last_nonzero_branch(self, table1, channel):
+        # the branch cdf can round to just below r; sample_kraus then falls
+        # back to the last branch of nonzero probability, never a zero operator
+        seq = build_circuit(table1, QaoaParams([0.4], [0.3]))
+        r = np.nextafter(1.0, 0.0)
+        batch = trajectory_states(seq, channel, 3, uniforms=np.full((3, noise_event_count(seq)), r))
+        single = run_trajectory(seq, channel, ConstantRng(r)).amplitudes
+        assert np.abs(batch - single).max() < 1e-12
+
     def test_uniform_matrix_shape_check(self, single_edge):
         seq = build_circuit(single_edge, QaoaParams([0.5], [0.4]))
         with pytest.raises(ValueError):
@@ -262,6 +348,15 @@ class TestCost:
         assert abs(est - exact) < ci_cost(shots, single_edge)
         assert len(per_edge) == 1 and per_edge[0][0] == (0, 1)
         assert 0.0 <= per_edge[0][1] <= 1.0
+
+    @pytest.mark.parametrize("p", [1e-4, 0.02])
+    def test_sampled_cost_unbiased(self, table1, table1_h, p):
+        seq = build_circuit(table1, QaoaParams([0.4], [0.3]))
+        channel = make_channel("depolarizing", p)
+        rng = np.random.default_rng(2024)
+        est = np.array([cost_sampled(seq, table1_h, channel, 200, rng)[0] for _ in range(100)])
+        se = est.std(ddof=1) / math.sqrt(est.size)
+        assert abs(est.mean() - cost_exact(seq, table1_h, channel)) <= 4.0 * se
 
     def test_sampled_cost_reproducible(self, single_edge):
         h = problem_hamiltonian(single_edge)

@@ -17,6 +17,7 @@ from noisyqaoa import (
     pure_fidelity,
     sample_kraus,
 )
+from noisyqaoa.noise import custom_channel
 from noisyqaoa.statevector import apply_gate_density, apply_superop_1q, mul_left_1q, mul_right_1q
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -32,6 +33,16 @@ def basis_state(m, index):
 def random_state(m, rng):
     amp = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     return StateVector(m, amp / np.linalg.norm(amp))
+
+
+def lift(M, q, m):
+    """The 2^m x 2^m operator of M acting on qubit q."""
+    ops = [np.eye(2)] * m
+    ops[m - 1 - q] = M
+    full = ops[0]
+    for op in ops[1:]:
+        full = np.kron(full, op)
+    return full
 
 
 class TestStates:
@@ -174,14 +185,29 @@ class TestKernelHelpers:
         rho = random_state(m, rng).projector().entries
         for q in range(m):
             out = apply_superop_1q(rho, ch.superop, q, m)
-            expected = np.zeros_like(rho)
-            for K in ch.kraus:
-                ops = [np.eye(2)] * m
-                ops[m - 1 - q] = K
-                full = ops[0]
-                for op in ops[1:]:
-                    full = np.kron(full, op)
-                expected += full @ rho @ full.conj().T
+            expected = sum(lift(K, q, m) @ rho @ lift(K, q, m).conj().T for K in ch.kraus)
+            assert np.abs(out - expected).max() < 1e-13
+
+    @given(pauli=st.booleans(), k=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_superop_of_random_channel_matches_kraus_sum(self, pauli, k, seed):
+        # a random Pauli mixture has a sparse superoperator (elementwise
+        # path), a random Kraus set a dense one (gemm path)
+        rng = np.random.default_rng(seed)
+        m = 3
+        if pauli:
+            w = rng.dirichlet(np.ones(4))
+            paulis = (np.eye(2), X, np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0]))
+            kraus = [np.sqrt(wi) * P for wi, P in zip(w, paulis)]
+        else:
+            V, _ = np.linalg.qr(rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2)))
+            kraus = [V[2 * i:2 * i + 2] for i in range(k)]
+        ch = custom_channel(kraus)
+        assert (np.count_nonzero(ch.superop) <= 8) == pauli
+        rho = random_state(m, rng).projector().entries
+        for q in range(m):
+            out = apply_superop_1q(rho, ch.superop, q, m)
+            expected = sum(lift(K, q, m) @ rho @ lift(K, q, m).conj().T for K in ch.kraus)
             assert np.abs(out - expected).max() < 1e-13
 
     def test_mul_left_right(self, rng):
@@ -189,11 +215,7 @@ class TestKernelHelpers:
         arr = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for q in range(m):
-            ops = [np.eye(2)] * m
-            ops[m - 1 - q] = M
-            full = ops[0]
-            for op in ops[1:]:
-                full = np.kron(full, op)
+            full = lift(M, q, m)
             assert np.abs(mul_left_1q(arr, M, q, m) - full @ arr).max() < 1e-13
             assert np.abs(mul_right_1q(arr, M, q, m) - arr @ full).max() < 1e-13
 
