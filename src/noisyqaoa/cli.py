@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 validation failure,
 
 Graphs are JSON objects {"nodes": m, "edges": [[i, j, weight], ...]};
 the builtin name "table1" resolves to the bundled benchmark graph.
-Results are written as a CSV plus a JSON metadata sidecar.
+Each run setting is taken from its explicit flag, else from the --config
+file, whose keys are the ExperimentConfig fields, else from the
+ExperimentConfig default. Results are written as a CSV plus a JSON
+metadata sidecar.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,7 +29,13 @@ from .experiments import (
     fit_decay,
 )
 from .gradopt import exact_noisy_evaluator, gradient_descent, ideal_evaluator, random_init
-from .maxcut import WeightedGraph, brute_force_ground, table1_graph
+from .maxcut import (  # parse_graph and serialize_graph are re-exported
+    GraphFormatError,
+    brute_force_ground,
+    load_graph,
+    parse_graph,  # noqa: F401
+    serialize_graph,  # noqa: F401
+)
 from .noise import KINDS, make_channel, noise_grid, validate_cptp
 from .statevector import SimulationError
 
@@ -34,66 +44,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-
-class GraphFormatError(ValueError):
-    """Malformed or invalid graph document."""
-
-
-def parse_graph(text: str) -> WeightedGraph:
-    """Parse and validate a JSON graph document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
-    unknown = set(doc) - {"nodes", "edges"}
-    if unknown:
-        raise GraphFormatError(f"unknown graph keys: {sorted(unknown)}")
-    if "nodes" not in doc or "edges" not in doc:
-        raise GraphFormatError('graph document needs "nodes" and "edges"')
-    if not isinstance(doc["nodes"], int):
-        raise GraphFormatError('"nodes" must be an integer')
-    edges = []
-    for idx, edge in enumerate(doc["edges"]):
-        if not (isinstance(edge, list) and len(edge) == 3):
-            raise GraphFormatError(f"edge {idx} must be a [i, j, weight] triple")
-        edges.append(tuple(edge))
-    try:
-        return WeightedGraph(doc["nodes"], tuple(edges))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc))
-
-
-def serialize_graph(graph: WeightedGraph) -> str:
-    doc = {"nodes": graph.num_nodes, "edges": [[i, j, w] for i, j, w in graph.edges]}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def load_graph(source: str) -> WeightedGraph:
-    if source == "table1":
-        return table1_graph()
-    try:
-        with open(source) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read graph file {source!r}: {exc}")
-    return parse_graph(text)
-
-
-# keys a run-config file may set, with the CLI argument each one backs
-_CONFIG_KEYS = {
-    "graph_source": "graph",
-    "channel": "channel",
-    "p_values": None,
-    "steps": "steps",
-    "shots": "shots",
-    "seed": "seed",
-    "mode": "mode",
-    "learning_rate": "lr",
-    "num_iters": "iters",
-    "threads": "threads",
-}
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def parse_config(text: str) -> dict:
@@ -104,46 +55,33 @@ def parse_config(text: str) -> dict:
         raise GraphFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise GraphFormatError("run config must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    unknown = set(doc) - set(_CONFIG_FIELDS)
     if unknown:
         raise GraphFormatError(f"unknown config keys: {sorted(unknown)}")
     return doc
 
 
-# CLI defaults for settings a run-config file may override
-_CLI_DEFAULTS = {
-    "graph": "table1",
-    "channel": "depolarizing",
-    "steps": "1,2,3,4",
-    "shots": 5000,
-    "seed": 7,
-    "mode": "exact",
-    "lr": 0.02,
-    "iters": 1000,
-    "threads": None,
-}
-
-
-def _apply_config_file(args, parser) -> None:
-    """Fill args from --config for settings left at their CLI defaults."""
-    if not getattr(args, "config", None):
+def _merge_settings(args) -> None:
+    """Set each ExperimentConfig field on args: the explicit flag, else
+    the --config file, else the dataclass default. Commands without the
+    run flags are left alone."""
+    if not hasattr(args, "config"):
         return
-    try:
-        with open(args.config) as fh:
-            doc = parse_config(fh.read())
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read config file {args.config!r}: {exc}")
-    defaults = _CLI_DEFAULTS
-    for key, value in doc.items():
-        dest = _CONFIG_KEYS[key]
-        if key == "p_values":
-            if getattr(args, "p", None) is None and not args.grid:
-                args.config_p_values = [float(p) for p in value]
-            continue
-        if key == "steps":
-            value = ",".join(str(int(n)) for n in value) if isinstance(value, list) else str(value)
-        if getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
+    doc = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                doc = parse_config(fh.read())
+        except OSError as exc:
+            raise GraphFormatError(f"cannot read config file {args.config!r}: {exc}")
+    if args.grid:
+        args.p_values = noise_grid()
+    elif args.p is not None:
+        args.p_values = [args.p]
+    defaults = ExperimentConfig()
+    for name in _CONFIG_FIELDS:
+        if getattr(args, name, None) is None:
+            setattr(args, name, doc.get(name, getattr(defaults, name)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,19 +95,20 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser):
     parser.add_argument("--config", default=None,
                         help="JSON run-config file; explicit flags take precedence")
-    parser.add_argument("--graph", default="table1", help="graph file path or 'table1'")
-    parser.add_argument("--channel", default="depolarizing",
-                        choices=[k for k in KINDS if k != "custom"])
+    # run settings default to None so that _merge_settings can tell an
+    # explicit flag from an unset one; the defaults are ExperimentConfig's
+    parser.add_argument("--graph", dest="graph_source", help="graph file path or 'table1'")
+    parser.add_argument("--channel", choices=[k for k in KINDS if k != "custom"])
     parser.add_argument("--p", type=float, default=None, help="single noise strength")
     parser.add_argument("--grid", action="store_true", help="use the 11-point strength grid")
-    parser.add_argument("--steps", default="1,2,3,4", help="comma-separated step counts")
-    parser.add_argument("--shots", type=int, default=5000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    parser.add_argument("--lr", type=float, default=0.02, help="gradient-descent learning rate")
-    parser.add_argument("--iters", type=int, default=1000, help="gradient-descent iteration budget")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker pool size (default: ${THREADS_ENV_VAR} or CPU count)")
+    parser.add_argument("--steps", help="comma-separated step counts")
+    parser.add_argument("--shots", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--mode", choices=("exact", "sampled"))
+    parser.add_argument("--lr", dest="learning_rate", type=float, help="gradient-descent learning rate")
+    parser.add_argument("--iters", dest="num_iters", type=int, help="gradient-descent iteration budget")
+    parser.add_argument("--threads", type=int,
+                        help=f"worker pool size (default: ${THREADS_ENV_VAR} or min(CPU count, 8))")
     parser.add_argument("--out", default=None, help="output path prefix")
 
 
@@ -205,28 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _p_list(args) -> list[float]:
-    if args.grid:
-        return noise_grid()
-    if args.p is not None:
-        return [args.p]
-    custom = getattr(args, "config_p_values", None)
-    return custom if custom is not None else noise_grid()
-
-
-def _steps(args) -> tuple:
+def _steps(value) -> tuple:
+    """Step counts from a comma-separated string or a list of numbers."""
+    tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        return tuple(int(tok) for tok in args.steps.split(",") if tok)
-    except ValueError:
-        raise GraphFormatError(f"bad --steps value {args.steps!r}")
+        return tuple(int(tok) for tok in tokens if tok != "")
+    except (TypeError, ValueError):
+        raise GraphFormatError(f"bad steps value {value!r}")
 
 
 def cmd_validate(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph_source)
     print(f"graph ok: {graph.num_nodes} nodes, {graph.num_edges} edges, "
           f"total weight {graph.total_weight():.4g}")
     failures = 0
-    for p in _p_list(args):
+    for p in args.p_values:
         channel = make_channel(args.channel, p)
         ok, residual = validate_cptp(channel)
         status = "ok" if ok else "FAIL"
@@ -251,7 +183,7 @@ def cmd_brute_force(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph_source)
     rng = np.random.default_rng(args.seed)
     init = random_init(args.n, rng)
     if args.p is not None and args.p > 0:
@@ -260,8 +192,8 @@ def cmd_optimize(args) -> int:
     else:
         evaluator = ideal_evaluator(graph)
         label = "ideal"
-    trace = gradient_descent(graph, init, evaluator, args.lr, args.iters, grad_tol=1e-6)
-    print(f"# {label} gradient descent, lr={args.lr}, n={args.n}")
+    trace = gradient_descent(graph, init, evaluator, args.learning_rate, args.num_iters, grad_tol=1e-6)
+    print(f"# {label} gradient descent, lr={args.learning_rate}, n={args.n}")
     for it, rec in enumerate(trace.iterations):
         print(f"iter {it:4d}  cost {rec.cost:+.8f}  |grad| {rec.grad_norm:.3e}")
     final = trace.final_params
@@ -272,18 +204,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        graph_source=args.graph,
-        channel=args.channel,
-        p_values=tuple(_p_list(args)),
-        steps=_steps(args),
-        shots=args.shots,
-        seed=args.seed,
-        mode=args.mode,
-        learning_rate=args.lr,
-        num_iters=args.iters,
-        threads=args.threads,
-    )
+    settings = {name: getattr(args, name) for name in _CONFIG_FIELDS}
+    config = ExperimentConfig(**settings | {"steps": _steps(args.steps)})
     table = EXPERIMENTS[args.name](config)
     prefix = args.out or args.name
     csv_path, json_path = table.write_outputs(prefix)
@@ -312,7 +234,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, parser)
+        _merge_settings(args)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

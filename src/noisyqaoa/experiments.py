@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .gradopt import (
-    Gradient,
+    OptimizationTrace,
     exact_noisy_evaluator,
     gradient_descent,
     ideal_evaluator,
@@ -31,7 +31,7 @@ from .gradopt import (
     sampled_evaluator,
     shift_rule_gradient,
 )
-from .maxcut import WeightedGraph, problem_hamiltonian
+from .maxcut import WeightedGraph, load_graph as resolve_graph, problem_hamiltonian
 from .noise import KINDS, make_channel, noise_grid
 from .qaoa import QaoaParams, build_circuit, cost_exact, cost_sampled, output_fidelity, run_exact_noisy, run_ideal
 
@@ -125,17 +125,6 @@ def _jsonify(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def resolve_graph(source: str) -> WeightedGraph:
-    """Resolve a graph source: the builtin name 'table1' or a file path."""
-    from .cli import parse_graph
-    from .maxcut import table1_graph
-
-    if source == "table1":
-        return table1_graph()
-    with open(source) as fh:
-        return parse_graph(fh.read())
 
 
 def _sum_sq_weights(graph: WeightedGraph) -> float:
@@ -240,20 +229,27 @@ def _base_metadata(config: ExperimentConfig, experiment: str) -> dict:
     }
 
 
+def _descend(graph: WeightedGraph, init: QaoaParams, evaluator, learning_rate: float,
+             num_iters: int) -> OptimizationTrace:
+    """Every driver descent, ideal or noisy: stop once |grad| < 1e-6 or
+    after num_iters updates."""
+    return gradient_descent(graph, init, evaluator, learning_rate, num_iters, grad_tol=1e-6)
+
+
+def _ideal_descent(config: ExperimentConfig, graph: WeightedGraph, n: int) -> tuple:
+    """The ideal descent at step count n from the init seeded by the
+    master seed, as (init, trace); the cost, gradient and optimization
+    experiments all start from it."""
+    init = random_init(n, np.random.default_rng([config.seed, _STREAM_INIT, n]))
+    return init, _descend(graph, init, ideal_evaluator(graph), config.learning_rate, config.num_iters)
+
+
 def ideal_optimized_params(config: ExperimentConfig, graph: WeightedGraph | None = None) -> dict:
     """Ideal gradient-descent optimum per step count n, seeded from the
     master seed; shared by the cost and optimization experiments."""
     if graph is None:
         graph = resolve_graph(config.graph_source)
-    out = {}
-    for n in config.steps:
-        init = random_init(n, np.random.default_rng([config.seed, _STREAM_INIT, n]))
-        trace = gradient_descent(
-            graph, init, ideal_evaluator(graph),
-            config.learning_rate, config.num_iters, grad_tol=1e-6,
-        )
-        out[n] = trace.final_params
-    return out
+    return {n: _ideal_descent(config, graph, n)[1].final_params for n in config.steps}
 
 
 def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
@@ -379,13 +375,8 @@ def run_cost_experiment(config: ExperimentConfig, params_by_n: dict | None = Non
 
 def max_gradient_params(config: ExperimentConfig, graph: WeightedGraph, n: int) -> QaoaParams:
     """The iterate with maximum gradient norm along the ideal descent."""
-    init = random_init(n, np.random.default_rng([config.seed, _STREAM_INIT, n]))
-    trace = gradient_descent(
-        graph, init, ideal_evaluator(graph),
-        config.learning_rate, config.num_iters, grad_tol=1e-6,
-    )
-    best = max(trace.iterations, key=lambda rec: rec.grad_norm)
-    return best.params
+    _, trace = _ideal_descent(config, graph, n)
+    return max(trace.iterations, key=lambda rec: rec.grad_norm).params
 
 
 def run_gradient_experiment(
@@ -465,7 +456,7 @@ def _optimization_cell(args) -> tuple:
         evaluator = sampled_evaluator(graph, channel, shots, rng)
     else:
         evaluator = exact_noisy_evaluator(graph, channel)
-    trace = gradient_descent(graph, init, evaluator, lr, iters, grad_tol=1e-6)
+    trace = _descend(graph, init, evaluator, lr, iters)
     return trace.final_params.gamma, trace.final_params.beta, trace.final_cost
 
 
@@ -479,15 +470,10 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
     """
     graph = resolve_graph(config.graph_source)
     m, E = graph.num_nodes, graph.num_edges
-    ideal_runs = {}
+    ideal_traces = {}
     jobs = []
     for n_idx, n in enumerate(config.steps):
-        init = random_init(n, np.random.default_rng([config.seed, _STREAM_INIT, n]))
-        trace = gradient_descent(
-            graph, init, ideal_evaluator(graph),
-            config.learning_rate, config.num_iters, grad_tol=1e-6,
-        )
-        ideal_runs[n] = (init, trace)
+        init, ideal_traces[n] = _ideal_descent(config, graph, n)
         for p_idx, p in enumerate(config.p_values):
             if p == 0.0:
                 continue
@@ -508,7 +494,7 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
     by_cell = {(job[2], job[10]): res for job, res in zip(jobs, results)}
     rows = []
     for n_idx, n in enumerate(config.steps):
-        _, ideal_trace = ideal_runs[n]
+        ideal_trace = ideal_traces[n]
         ideal_params = ideal_trace.final_params
         N = n * (E + m)
         for p in config.p_values:
@@ -529,7 +515,7 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
             "ideal_optima": {
                 n: {"gamma": tr.final_params.gamma, "beta": tr.final_params.beta,
                     "cost": tr.final_cost, "converged": tr.converged}
-                for n, (_, tr) in ideal_runs.items()
+                for n, tr in ideal_traces.items()
             },
             "columns": {
                 "p": "noise channel strength",

@@ -1,5 +1,9 @@
-"""Weighted Max-Cut model: graph, ZZ problem Hamiltonian, exact
-expectations, and the brute-force enumeration oracle.
+"""Weighted Max-Cut model: graph, its JSON document format and loader,
+ZZ problem Hamiltonian, exact expectations, and the brute-force
+enumeration oracle.
+
+Graph documents are JSON objects {"nodes": m, "edges": [[i, j, weight], ...]};
+the builtin name "table1" resolves to the bundled benchmark graph.
 
 Encoding convention: bit b of a node maps to spin z = (-1)^b, so the
 energy of an assignment is sum_ij C_ij z_i z_j. Cutting an edge makes
@@ -122,8 +126,56 @@ def brute_force_ground(graph: WeightedGraph) -> tuple[float, list]:
     return emin, optima
 
 
+class GraphFormatError(ValueError):
+    """Malformed or invalid graph document."""
+
+
+def parse_graph(text: str) -> WeightedGraph:
+    """Parse and validate a JSON graph document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise GraphFormatError("graph document must be a JSON object")
+    unknown = set(doc) - {"nodes", "edges"}
+    if unknown:
+        raise GraphFormatError(f"unknown graph keys: {sorted(unknown)}")
+    if "nodes" not in doc or "edges" not in doc:
+        raise GraphFormatError('graph document needs "nodes" and "edges"')
+    if not isinstance(doc["nodes"], int):
+        raise GraphFormatError('"nodes" must be an integer')
+    edges = []
+    for idx, edge in enumerate(doc["edges"]):
+        if not (isinstance(edge, list) and len(edge) == 3):
+            raise GraphFormatError(f"edge {idx} must be a [i, j, weight] triple")
+        edges.append(tuple(edge))
+    try:
+        return WeightedGraph(doc["nodes"], tuple(edges))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc))
+
+
+def serialize_graph(graph: WeightedGraph) -> str:
+    doc = {"nodes": graph.num_nodes, "edges": [[i, j, w] for i, j, w in graph.edges]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def table1_graph() -> WeightedGraph:
     """The bundled 7-node, 9-edge benchmark graph."""
-    text = resources.files("noisyqaoa.data").joinpath("table1.json").read_text()
-    doc = json.loads(text)
-    return WeightedGraph(doc["nodes"], tuple(tuple(e) for e in doc["edges"]))
+    return parse_graph(resources.files("noisyqaoa.data").joinpath("table1.json").read_text())
+
+
+def load_graph(source: str) -> WeightedGraph:
+    """Resolve a graph source: the builtin name 'table1' or a JSON file path.
+
+    Every failure, an unreadable file included, is a GraphFormatError.
+    """
+    if source == "table1":
+        return table1_graph()
+    try:
+        with open(source) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read graph file {source!r}: {exc}")
+    return parse_graph(text)

@@ -126,6 +126,13 @@ def run_ideal(circuit: GateSequence) -> StateVector:
     return state
 
 
+def _check_gates(circuit: GateSequence) -> None:
+    """The circuit kernels below take single-qubit gates and diagonal
+    two-qubit gates only, which is every gate build_circuit makes."""
+    if any(g.diag is None and g.kind != "single" for g in circuit.gates):
+        raise ValueError("circuit kernels take single-qubit and diagonal two-qubit gates only")
+
+
 def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
     """Exact density-matrix evolution with the channel after every gate.
 
@@ -136,6 +143,7 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
     m = circuit.num_qubits
     if m > MAX_DENSE_QUBITS:
         raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
+    _check_gates(circuit)
     dim = 1 << m
     rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
     S_ch = channel.superop
@@ -145,16 +153,9 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
             rho = rho * np.outer(d, d.conj())
             for q in gate.targets:
                 rho = apply_superop_1q(rho, S_ch, q, m)
-        elif gate.kind == "single":
+        else:
             S = S_ch @ np.kron(gate.matrix, gate.matrix.conj())
             rho = apply_superop_1q(rho, S, gate.targets[0], m)
-        else:  # non-diagonal two-qubit gate: generic path
-            from .statevector import apply_gate_density
-
-            dm = apply_gate_density(DensityMatrix(m, rho), gate)
-            rho = dm.entries
-            for q in gate.targets:
-                rho = apply_superop_1q(rho, S_ch, q, m)
     return DensityMatrix(m, rho)
 
 
@@ -182,6 +183,7 @@ def adjoint_gradient_ideal(
     single backward pass: O(N) gate applications instead of O(N^2).
     Returns (cost, d_gamma, d_beta).
     """
+    _check_gates(circuit)
     m = circuit.num_qubits
     n = _num_steps(circuit)
     psi = run_ideal(circuit).amplitudes
@@ -225,50 +227,67 @@ def adjoint_gradient_noisy(
     Tr(E_k d(U rho U^dag)/dtheta) with E_k the back-propagated
     observable, identical (to rounding) to the shifted-evaluation
     construction. Returns (cost, d_gamma, d_beta).
+
+    Every density-matrix result goes into buffers made once per call (a
+    sigma stack and four work matrices): with fresh arrays per gate, how
+    often the allocator gave the heap back to the OS and faulted it in
+    again depended on the heap layout, so one call's time varied by a
+    third from process to process.
     """
     m = circuit.num_qubits
     if m > MAX_DENSE_QUBITS:
         raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
+    _check_gates(circuit)
     n = _num_steps(circuit)
     dim = 1 << m
     S_ch = channel.superop
     S_adj = channel.superop_adjoint
+    # work[0] and work[1]: the channel outputs of one gate; work[2] and
+    # work[3]: scratch, and work[3] holds the back-propagated D
+    work = np.empty((4, dim, dim), dtype=complex)
+    sigmas = np.empty((len(circuit.gates), dim, dim), dtype=complex)
     rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
-    sigmas = []
-    for gate in circuit.gates:
+    for gate, sigma in zip(circuit.gates, sigmas):
         if gate.diag is not None:
             d = expand_diag(m, gate.targets, gate.diag)
-            rho = rho * (d[:, None] * d.conj()[None, :])
+            # the phase matrix comes first: a product of complex arrays rounds
+            # by operand order where numpy's loop uses fused multiply-adds
+            np.multiply(d[:, None], d.conj()[None, :], out=work[2])
+            np.multiply(work[2], rho, out=sigma)
         else:
-            rho = mul_left_1q(rho, gate.matrix, gate.targets[0], m)
-            rho = mul_right_1q(rho, gate.matrix.conj().T, gate.targets[0], m)
-        sigmas.append(rho)
-        for q in gate.targets:
-            rho = apply_superop_1q(rho, S_ch, q, m)
+            mul_left_1q(rho, gate.matrix, gate.targets[0], m, out=work[2])
+            mul_right_1q(work[2], gate.matrix.conj().T, gate.targets[0], m, out=sigma)
+        rho = sigma
+        for j, q in enumerate(gate.targets):
+            rho = apply_superop_1q(rho, S_ch, q, m, out=work[j])
     cost = float((h.energies * np.diagonal(rho).real).sum())
     d_gamma = np.zeros(n)
     d_beta = np.zeros(n)
-    D = np.diag(h.energies).astype(complex)
-    for gate, sigma in zip(reversed(circuit.gates), reversed(sigmas)):
+    D = work[3]
+    D[...] = np.diag(h.energies)
+    for gate, sigma in zip(reversed(circuit.gates), sigmas[::-1]):
         E = D
-        for q in reversed(gate.targets):
-            E = apply_superop_1q(E, S_adj, q, m)
+        for j, q in enumerate(reversed(gate.targets)):
+            E = apply_superop_1q(E, S_adj, q, m, out=work[j])
         if gate.param == "gamma":
             s = expand_diag(m, gate.targets, _ZZ_PARITY)
             # Tr(E (-i w) [ZZ, sigma]) with [ZZ, sigma]_rc = (s_r - s_c) sigma_rc
-            M = sigma * (s[:, None] - s[None, :])
+            M = np.subtract(s[:, None], s[None, :], out=work[2])
+            np.multiply(sigma, M, out=M)
             d_gamma[gate.step] += gate.weight * complex(np.einsum("rc,cr->", E, M)).imag
         else:
             q = gate.targets[0]
-            comm = mul_left_1q(sigma, _X_MAT, q, m) - mul_right_1q(sigma, _X_MAT, q, m)
+            comm = mul_left_1q(sigma, _X_MAT, q, m, out=work[2])
+            np.subtract(comm, mul_right_1q(sigma, _X_MAT, q, m, out=work[3]), out=comm)
             # Tr(E (+i) [X, sigma])
             d_beta[gate.step] += -complex(np.einsum("rc,cr->", E, comm)).imag
         if gate.diag is not None:
             d = expand_diag(m, gate.targets, gate.diag)
-            D = E * (d.conj()[:, None] * d[None, :])
+            np.multiply(d.conj()[:, None], d[None, :], out=work[2])
+            D = np.multiply(work[2], E, out=work[3])
         else:
-            D = mul_left_1q(E, gate.matrix.conj().T, gate.targets[0], m)
-            D = mul_right_1q(D, gate.matrix, gate.targets[0], m)
+            mul_left_1q(E, gate.matrix.conj().T, gate.targets[0], m, out=work[2])
+            D = mul_right_1q(work[2], gate.matrix, gate.targets[0], m, out=work[3])
     return cost, d_gamma, d_beta
 
 
@@ -295,8 +314,6 @@ def noise_event_count(circuit: GateSequence) -> int:
 def _apply_gate_batch(states: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
     if gate.diag is not None:
         return states * expand_diag(m, gate.targets, gate.diag)
-    if gate.kind != "single":
-        raise ValueError("trajectory kernels take single-qubit and diagonal two-qubit gates only")
     return apply_1q(states, gate.matrix, gate.targets[0])
 
 
@@ -362,6 +379,7 @@ def trajectory_states(
     say) draws each branch from the state's own probabilities and
     renormalizes.
     """
+    _check_gates(circuit)
     m = circuit.num_qubits
     events = noise_event_count(circuit)
     if uniforms is None:

@@ -156,15 +156,16 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(m, psi.reshape(-1))
 
 
-def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
+def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int, out: np.ndarray | None = None) -> np.ndarray:
     """M acting on one bit of the flat (C-order) index of arr.
 
     Elementwise, with no BLAS call: a gemm on a 2x2 or 4x4 operator is
     slower than the arithmetic it does once its second thread has to
-    wait for a shared CPU.
+    wait for a shared CPU. The result goes to `out` (C-contiguous, the
+    size of arr, not arr itself) when given, else to a new array.
     """
     t = arr.reshape(-1, 2, 1 << bit)
-    out = np.empty_like(t)
+    out = np.empty_like(t) if out is None else out.reshape(t.shape)
     a, b = t[:, 0], t[:, 1]
     tmp = np.empty(a.shape, dtype=out.dtype)
     for i in (0, 1):
@@ -177,22 +178,29 @@ def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.ndarray:
+def apply_superop_1q(
+    rho: np.ndarray, S: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply a 4x4 superoperator to the (row bit, col bit) pair of one qubit.
 
     A sparse S (a Pauli channel has at most 8 nonzero entries) is applied
     elementwise over the four (row bit, col bit) blocks of rho, skipping
     zero entries, with no BLAS call. A dense S (a gate fused with its
     channel) takes one gemm, which is cheaper than 16 scaled block adds.
+    The result goes to `out` (C-contiguous, the shape of rho, not rho
+    itself) when given, else to a new array.
     """
     hi, lo = 1 << (m - 1 - qubit), 1 << qubit
     if np.count_nonzero(S) > 8:
         t = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
-        t = (S @ t.reshape(4, -1)).reshape(2, 2, hi, lo, hi, lo)
-        return t.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
+        t = (S @ t.reshape(4, -1)).reshape(2, 2, hi, lo, hi, lo).transpose(2, 0, 3, 4, 1, 5)
+        if out is None:
+            return t.reshape(rho.shape)
+        np.copyto(out.reshape(t.shape), t)
+        return out
     t = rho.reshape(hi, 2, lo * hi, 2, lo)
     blocks = [t[:, u, :, v] for u, v in _BIT_PAIRS]
-    out = np.empty_like(t)
+    out = np.empty_like(t) if out is None else out.reshape(t.shape)
     tmp = np.empty(blocks[0].shape, dtype=out.dtype)
     for a, (u, v) in enumerate(_BIT_PAIRS):
         o = out[:, u, :, v]
@@ -207,14 +215,18 @@ def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.n
     return out.reshape(rho.shape)
 
 
-def mul_left_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
+def mul_left_1q(
+    arr: np.ndarray, M: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """M acting on the row index of a 2^m x 2^m array at one qubit."""
-    return apply_1q(arr, M, qubit + m)
+    return apply_1q(arr, M, qubit + m, out)
 
 
-def mul_right_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
+def mul_right_1q(
+    arr: np.ndarray, M: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """out_rc = sum_c' arr_rc' M_c'c with M acting on one qubit of the column."""
-    return apply_1q(arr, M.T, qubit)
+    return apply_1q(arr, M.T, qubit, out)
 
 
 def apply_gate_density(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:

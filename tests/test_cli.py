@@ -74,6 +74,12 @@ class TestExitCodes:
     def test_missing_graph_file_is_validation_error(self, capsys):
         assert main(["brute-force", "/nonexistent/graph.json"]) == EXIT_VALIDATION
 
+    def test_missing_graph_file_in_experiment_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiment", "fidelity", "--graph", "/nonexistent.json", "--p", "0.01", "--steps", "1"])
+        assert code == EXIT_VALIDATION
+        assert "cannot read graph file" in capsys.readouterr().err
+
     def test_bad_steps_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "fidelity", "--steps", "1,x"]) == EXIT_VALIDATION
@@ -202,6 +208,19 @@ class TestConfigFile:
             meta = json.load(fh)
         assert meta["config"]["seed"] == 5
         assert meta["config"]["p_values"] == [0.01]
+
+    def test_explicit_flag_equal_to_default_beats_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 11}))
+        code = main([
+            "experiment", "fidelity", "--config", str(cfg),
+            "--seed", "7", "--p", "0.01", "--steps", "1", "--out", "fid",
+        ])
+        assert code == EXIT_OK
+        with open(tmp_path / "fid.json") as fh:
+            meta = json.load(fh)
+        assert meta["config"]["seed"] == 7
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

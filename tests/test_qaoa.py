@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from noisyqaoa import (
+    GateOp,
+    GateSequence,
     QaoaParams,
     WeightedGraph,
     build_circuit,
@@ -26,7 +28,7 @@ from noisyqaoa import (
 )
 from noisyqaoa.experiments import ci_cost
 from noisyqaoa.noise import custom_channel
-from noisyqaoa.qaoa import noise_event_count
+from noisyqaoa.qaoa import adjoint_gradient_ideal, adjoint_gradient_noisy, noise_event_count
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -208,6 +210,29 @@ class TestRunExactNoisy:
         for p in (0.0, 0.1, 0.37):
             rho = run_exact_noisy(seq, make_channel("dephasing", p))
             assert output_fidelity(run_ideal(seq), rho) == pytest.approx(1.0 - p, abs=1e-12)
+
+
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda seq, h, ch: run_exact_noisy(seq, ch),
+        lambda seq, h, ch: adjoint_gradient_ideal(seq, h),
+        lambda seq, h, ch: adjoint_gradient_noisy(seq, h, ch),
+        lambda seq, h, ch: trajectory_states(seq, ch, 4, seed=1),
+    ],
+    ids=["run_exact_noisy", "adjoint_gradient_ideal", "adjoint_gradient_noisy", "trajectory_states"],
+)
+def test_kernels_reject_non_diagonal_two_qubit_gate(kernel, single_edge):
+    # unchecked, adjoint_gradient_noisy would apply only the top-left 2x2
+    # block of such a gate and return a wrong cost
+    qaoa = build_circuit(single_edge, QaoaParams([0.4], [0.3]))
+    gate = GateOp(kind="two", targets=(0, 1), matrix=ISWAP, step=0)
+    seq = GateSequence(2, (gate,) + qaoa.gates)
+    with pytest.raises(ValueError, match="diagonal two-qubit gates only"):
+        kernel(seq, problem_hamiltonian(single_edge), make_channel("depolarizing", 0.01))
 
 
 class TestWithShiftedGate:
