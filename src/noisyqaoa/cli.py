@@ -62,26 +62,26 @@ def parse_config(text: str) -> dict:
 
 
 def _merge_settings(args) -> None:
-    """Set each ExperimentConfig field on args: the explicit flag, else
-    the --config file, else the dataclass default. Commands without the
-    run flags are left alone."""
+    """Set args.settings, the run's ExperimentConfig: each field from its
+    explicit flag, else from the --config file, else the dataclass
+    default. Commands without the run flags are left alone."""
     if not hasattr(args, "config"):
         return
-    doc = {}
+    settings = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                doc = parse_config(fh.read())
+                settings = parse_config(fh.read())
         except OSError as exc:
             raise GraphFormatError(f"cannot read config file {args.config!r}: {exc}")
-    if args.grid:
+    if getattr(args, "grid", False):
         args.p_values = noise_grid()
     elif args.p is not None:
         args.p_values = [args.p]
-    defaults = ExperimentConfig()
-    for name in _CONFIG_FIELDS:
-        if getattr(args, name, None) is None:
-            setattr(args, name, doc.get(name, getattr(defaults, name)))
+    settings |= {name: getattr(args, name) for name in _CONFIG_FIELDS if getattr(args, name, None) is not None}
+    if "steps" in settings:
+        settings["steps"] = _steps(settings["steps"])
+    args.settings = ExperimentConfig(**settings)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +92,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(parser):
+def _add_common(parser, grid=False, descent=False, batch=False):
+    """The run flags a command reads: the graph and the noise always,
+    the strength grid, the descent settings and the batch settings on
+    request."""
     parser.add_argument("--config", default=None,
                         help="JSON run-config file; explicit flags take precedence")
     # run settings default to None so that _merge_settings can tell an
@@ -100,16 +103,19 @@ def _add_common(parser):
     parser.add_argument("--graph", dest="graph_source", help="graph file path or 'table1'")
     parser.add_argument("--channel", choices=[k for k in KINDS if k != "custom"])
     parser.add_argument("--p", type=float, default=None, help="single noise strength")
-    parser.add_argument("--grid", action="store_true", help="use the 11-point strength grid")
-    parser.add_argument("--steps", help="comma-separated step counts")
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--mode", choices=("exact", "sampled"))
-    parser.add_argument("--lr", dest="learning_rate", type=float, help="gradient-descent learning rate")
-    parser.add_argument("--iters", dest="num_iters", type=int, help="gradient-descent iteration budget")
-    parser.add_argument("--threads", type=int,
-                        help=f"worker pool size (default: ${THREADS_ENV_VAR} or min(CPU count, 8))")
-    parser.add_argument("--out", default=None, help="output path prefix")
+    if grid:
+        parser.add_argument("--grid", action="store_true", help="use the 11-point strength grid")
+    if descent:
+        parser.add_argument("--seed", type=int)
+        parser.add_argument("--lr", dest="learning_rate", type=float, help="gradient-descent learning rate")
+        parser.add_argument("--iters", dest="num_iters", type=int, help="gradient-descent iteration budget")
+    if batch:
+        parser.add_argument("--steps", help="comma-separated step counts")
+        parser.add_argument("--shots", type=int)
+        parser.add_argument("--mode", choices=("exact", "sampled"))
+        parser.add_argument("--threads", type=int,
+                            help=f"worker pool size (default: ${THREADS_ENV_VAR} or min(CPU count, 8))")
+        parser.add_argument("--out", default=None, help="output path prefix")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_val = sub.add_parser("validate", help="CPTP and graph validation checks")
-    _add_common(p_val)
+    _add_common(p_val, grid=True)
     p_val.set_defaults(func=cmd_validate)
 
     p_bf = sub.add_parser("brute-force", help="exhaustive Max-Cut ground search")
@@ -126,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bf.set_defaults(func=cmd_brute_force)
 
     p_opt = sub.add_parser("optimize", help="gradient-descent parameter optimization")
-    _add_common(p_opt)
+    _add_common(p_opt, descent=True)
     p_opt.add_argument("--n", type=int, default=1, help="QAOA step count")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_exp = sub.add_parser("experiment", help="run a batch experiment, write CSV + sidecar")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
-    _add_common(p_exp)
+    _add_common(p_exp, grid=True, descent=True, batch=True)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_fit = sub.add_parser("fit", help="decay-constant fit on an existing CSV")
@@ -144,25 +150,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _steps(value) -> tuple:
-    """Step counts from a comma-separated string or a list of numbers."""
-    tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
+def _steps(value):
+    """Step counts from a comma-separated string; any other value is
+    left to ExperimentConfig's type check."""
+    if not isinstance(value, str):
+        return value
     try:
-        return tuple(int(tok) for tok in tokens if tok != "")
-    except (TypeError, ValueError):
+        return tuple(int(tok) for tok in value.split(",") if tok != "")
+    except ValueError:
         raise GraphFormatError(f"bad steps value {value!r}")
 
 
 def cmd_validate(args) -> int:
-    graph = load_graph(args.graph_source)
+    settings = args.settings
+    graph = load_graph(settings.graph_source)
     print(f"graph ok: {graph.num_nodes} nodes, {graph.num_edges} edges, "
           f"total weight {graph.total_weight():.4g}")
     failures = 0
-    for p in args.p_values:
-        channel = make_channel(args.channel, p)
+    for p in settings.p_values:
+        channel = make_channel(settings.channel, p)
         ok, residual = validate_cptp(channel)
         status = "ok" if ok else "FAIL"
-        print(f"channel {args.channel} p={p:.6g}: CPTP residual {residual:.3e} {status}")
+        print(f"channel {settings.channel} p={p:.6g}: CPTP residual {residual:.3e} {status}")
         failures += 0 if ok else 1
     if failures:
         print(f"{failures} CPTP check(s) failed", file=sys.stderr)
@@ -183,17 +192,21 @@ def cmd_brute_force(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    graph = load_graph(args.graph_source)
-    rng = np.random.default_rng(args.seed)
+    settings = args.settings
+    if settings.mode != "exact":
+        raise GraphFormatError(f"optimize runs the exact evaluator only, not mode {settings.mode!r}")
+    graph = load_graph(settings.graph_source)
+    rng = np.random.default_rng(settings.seed)
     init = random_init(args.n, rng)
     if args.p is not None and args.p > 0:
-        evaluator = exact_noisy_evaluator(graph, make_channel(args.channel, args.p))
-        label = f"noisy ({args.channel}, p={args.p})"
+        evaluator = exact_noisy_evaluator(graph, make_channel(settings.channel, args.p))
+        label = f"noisy ({settings.channel}, p={args.p})"
     else:
         evaluator = ideal_evaluator(graph)
         label = "ideal"
-    trace = gradient_descent(graph, init, evaluator, args.learning_rate, args.num_iters, grad_tol=1e-6)
-    print(f"# {label} gradient descent, lr={args.learning_rate}, n={args.n}")
+    lr = settings.learning_rate
+    trace = gradient_descent(graph, init, evaluator, lr, settings.num_iters, grad_tol=1e-6)
+    print(f"# {label} gradient descent, lr={lr}, n={args.n}")
     for it, rec in enumerate(trace.iterations):
         print(f"iter {it:4d}  cost {rec.cost:+.8f}  |grad| {rec.grad_norm:.3e}")
     final = trace.final_params
@@ -204,9 +217,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    settings = {name: getattr(args, name) for name in _CONFIG_FIELDS}
-    config = ExperimentConfig(**settings | {"steps": _steps(args.steps)})
-    table = EXPERIMENTS[args.name](config)
+    table = EXPERIMENTS[args.name](args.settings)
     prefix = args.out or args.name
     csv_path, json_path = table.write_outputs(prefix)
     print(f"wrote {csv_path} ({len(table.rows)} rows) and {json_path}")
@@ -214,9 +225,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    with open(args.csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    try:
+        with open(args.csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read CSV file {args.csv_path!r}: {exc}")
     if not rows:
         raise GraphFormatError(f"{args.csv_path} contains no data rows")
     for col in (args.pcol, args.ycol, args.ncol):

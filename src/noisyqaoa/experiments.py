@@ -15,8 +15,10 @@ import math
 import os
 import time
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,6 +45,29 @@ _STREAM_INIT = 202
 _STREAM_SAMPLED = 303
 
 
+# the types of the ExperimentConfig settings other than the two lists
+_SCALAR_TYPES = {
+    "graph_source": (str, os.PathLike), "channel": str, "mode": str, "shots": Integral,
+    "seed": Integral, "learning_rate": Real, "num_iters": Integral, "threads": (Integral, type(None)),
+}
+
+
+def _of_type(name: str, value, kind):
+    """value if it is of the kind (a bool is no number), else a ValueError
+    naming the setting: a wrong type in a run config is a validation
+    failure, not a crash further down."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"setting {name} has a value of the wrong type: {value!r}")
+    return value
+
+
+def _entries(name: str, values, kind) -> tuple:
+    """The entries of a list setting, each checked by _of_type."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"setting {name} has a value of the wrong type: {values!r}")
+    return tuple(_of_type(name, v, kind) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
     """Settings shared by the four experiment drivers."""
@@ -59,8 +84,10 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        self.p_values = tuple(float(p) for p in self.p_values)
-        self.steps = tuple(int(n) for n in self.steps)
+        for name, kind in _SCALAR_TYPES.items():
+            _of_type(name, getattr(self, name), kind)
+        self.p_values = tuple(float(p) for p in _entries("p_values", self.p_values, Real))
+        self.steps = tuple(int(n) for n in _entries("steps", self.steps, Integral))
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if any(not 0.0 <= p <= 1.0 for p in self.p_values):

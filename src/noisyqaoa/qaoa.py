@@ -21,6 +21,7 @@ import numpy as np
 from .maxcut import ProblemHamiltonian, WeightedGraph, exact_expectation
 from .noise import CPTP_TOL, NoiseChannel
 from .statevector import (
+    GATE_RULE,
     MAX_DENSE_QUBITS,
     DensityMatrix,
     GateOp,
@@ -30,6 +31,7 @@ from .statevector import (
     apply_gate,
     apply_superop_1q,
     expand_diag,
+    gate_on,
     mul_left_1q,
     mul_right_1q,
     plus_state,
@@ -127,10 +129,11 @@ def run_ideal(circuit: GateSequence) -> StateVector:
 
 
 def _check_gates(circuit: GateSequence) -> None:
-    """The circuit kernels below take single-qubit gates and diagonal
-    two-qubit gates only, which is every gate build_circuit makes."""
+    """The density-matrix kernels below take the gates gate_on takes:
+    single-qubit and diagonal two-qubit gates, which is every gate
+    build_circuit makes."""
     if any(g.diag is None and g.kind != "single" for g in circuit.gates):
-        raise ValueError("circuit kernels take single-qubit and diagonal two-qubit gates only")
+        raise ValueError(GATE_RULE)
 
 
 def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
@@ -166,12 +169,6 @@ def _num_steps(circuit: GateSequence) -> int:
     return 1 + max(steps)
 
 
-def _apply_1q_vec(psi: np.ndarray, M: np.ndarray, q: int, m: int) -> np.ndarray:
-    hi, lo = 1 << (m - 1 - q), 1 << q
-    t = psi.reshape(hi, 2, lo)
-    return np.einsum("xu,aub->axb", M, t).reshape(-1)
-
-
 def adjoint_gradient_ideal(
     circuit: GateSequence, h: ProblemHamiltonian
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -183,7 +180,6 @@ def adjoint_gradient_ideal(
     single backward pass: O(N) gate applications instead of O(N^2).
     Returns (cost, d_gamma, d_beta).
     """
-    _check_gates(circuit)
     m = circuit.num_qubits
     n = _num_steps(circuit)
     psi = run_ideal(circuit).amplitudes
@@ -211,8 +207,8 @@ def adjoint_gradient_ideal(
                 np.einsum("aub,aub->", b3.conj(), p3[:, ::-1, :])
             ).imag
             Ud = gate.matrix.conj().T
-            psi = _apply_1q_vec(psi, Ud, q, m)
-            b = _apply_1q_vec(b, Ud, q, m)
+            psi = apply_1q(psi, Ud, q)
+            b = apply_1q(b, Ud, q)
     return cost, d_gamma, d_beta
 
 
@@ -311,12 +307,6 @@ def noise_event_count(circuit: GateSequence) -> int:
     return sum(len(g.targets) for g in circuit.gates)
 
 
-def _apply_gate_batch(states: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
-    if gate.diag is not None:
-        return states * expand_diag(m, gate.targets, gate.diag)
-    return apply_1q(states, gate.matrix, gate.targets[0])
-
-
 def _select_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Branch index for each uniform r, by the rule of sample_kraus.
 
@@ -379,7 +369,6 @@ def trajectory_states(
     say) draws each branch from the state's own probabilities and
     renormalizes.
     """
-    _check_gates(circuit)
     m = circuit.num_qubits
     events = noise_event_count(circuit)
     if uniforms is None:
@@ -395,7 +384,7 @@ def trajectory_states(
         states = np.full((num_traj, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
         col = 0
         for gate in circuit.gates:
-            states = _apply_gate_batch(states, gate, m)
+            states = gate_on(states, gate, m)
             for q in gate.targets:
                 states = _sample_kraus_batch(states, channel, q, uniforms[:, col], m)
                 col += 1
@@ -409,7 +398,7 @@ def trajectory_states(
     states = np.full((len(picks), 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
     col = 0
     for gate in circuit.gates:
-        states = _apply_gate_batch(states, gate, m)
+        states = gate_on(states, gate, m)
         for q in gate.targets:
             for l in faults:
                 rows = np.flatnonzero(picks[:, col] == l)

@@ -17,6 +17,7 @@ from .noise import NoiseChannel
 MAX_PURE_QUBITS = 24
 MAX_DENSE_QUBITS = 12
 NORM_TOL = 1e-10
+GATE_RULE = "gate kernels take single-qubit and diagonal two-qubit gates only"
 
 
 class SimulationError(RuntimeError):
@@ -142,18 +143,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply a gate; norm is preserved to 1e-10 (unitary)."""
     m = state.num_qubits
     _check_targets(m, gate.targets)
-    psi = state.amplitudes.reshape((2,) * m)
-    axes = tuple(m - 1 - q for q in gate.targets)
-    k = len(axes)
-    psi = np.moveaxis(psi, axes, range(k))
-    rest = psi.shape[k:]
-    flat = psi.reshape(1 << k, -1)
-    if gate.diag is not None:
-        flat = gate.diag[:, None] * flat
-    else:
-        flat = gate.matrix @ flat
-    psi = np.moveaxis(flat.reshape((2,) * k + rest), range(k), axes)
-    return StateVector(m, psi.reshape(-1))
+    return StateVector(m, gate_on(state.amplitudes, gate, m))
 
 
 def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -173,6 +163,23 @@ def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int, out: np.ndarray | None = 
         np.multiply(M[i, 1], b, out=tmp)
         np.add(out[:, i], tmp, out=out[:, i])
     return out.reshape(arr.shape)
+
+
+def gate_on(psi: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
+    """A gate acting on the last axis (length 2^m) of psi, for any batch shape.
+
+    A diagonal gate is a multiply by its lifted diagonal and a
+    single-qubit gate an elementwise 2x2 product (as in qsim's per-gate
+    kernels, arXiv:2111.02396); any other gate raises GATE_RULE.
+    """
+    if gate.diag is not None:
+        # diagonal first: numpy's complex product rounds by operand order
+        # (fused multiply-adds), and the other order moves the last bits
+        # of every ideal state and of the CSV rows computed from them
+        return expand_diag(m, gate.targets, gate.diag) * psi
+    if gate.kind != "single":
+        raise ValueError(GATE_RULE)
+    return apply_1q(psi, gate.matrix, gate.targets[0])
 
 
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -227,31 +234,6 @@ def mul_right_1q(
 ) -> np.ndarray:
     """out_rc = sum_c' arr_rc' M_c'c with M acting on one qubit of the column."""
     return apply_1q(arr, M.T, qubit, out)
-
-
-def apply_gate_density(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:
-    """rho -> U rho U^dag for a GateOp."""
-    m = rho.num_qubits
-    _check_targets(m, gate.targets)
-    dim = 1 << m
-    if gate.diag is not None:
-        d = expand_diag(m, gate.targets, gate.diag)
-        return DensityMatrix(m, rho.entries * np.outer(d, d.conj()))
-    if gate.kind == "single":
-        S = np.kron(gate.matrix, gate.matrix.conj())
-        return DensityMatrix(m, apply_superop_1q(rho.entries, S, gate.targets[0], m))
-    # general two-qubit unitary: transform row indices, then column indices
-    axes = tuple(m - 1 - q for q in gate.targets)
-    t = rho.entries.reshape((2,) * m + (dim,))
-    t = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
-    t = gate.matrix @ t
-    t = np.moveaxis(t.reshape((2, 2) + (2,) * (m - 2) + (dim,)), (0, 1), axes)
-    t = t.reshape(dim, dim).reshape((dim,) + (2,) * m)
-    col_axes = tuple(1 + m - 1 - q for q in gate.targets)
-    t = np.moveaxis(t, col_axes, (m - 1, m))
-    t = t.reshape(-1, 4) @ gate.matrix.conj().T
-    t = np.moveaxis(t.reshape((dim,) + (2,) * (m - 2) + (2, 2)), (m - 1, m), col_axes)
-    return DensityMatrix(m, t.reshape(dim, dim))
 
 
 def apply_kraus_exact(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> DensityMatrix:

@@ -84,6 +84,48 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "fidelity", "--steps", "1,x"]) == EXIT_VALIDATION
 
+    def test_missing_fit_csv_is_validation_error(self, capsys):
+        assert main(["fit", "/nonexistent.csv"]) == EXIT_VALIDATION
+        assert "cannot read CSV file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"p_values": 0.01}, {"steps": 3.5}, {"steps": [3.5]}, {"shots": "10"}])
+    def test_wrong_config_type_in_validate(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"p_values": 0.01}, {"steps": 3.5}, {"steps": [3.5]}, {"shots": "10"}])
+    def test_wrong_config_type_in_experiment(self, doc, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["experiment", "fidelity", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "fidelity.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--mode", "sampled", "--shots", "10"],
+            ["optimize", "--grid"],
+            ["optimize", "--steps", "1"],
+            ["optimize", "--out", "x"],
+            ["validate", "--steps", "1"],
+            ["validate", "--seed", "3"],
+            ["validate", "--iters", "10"],
+            ["validate", "--threads", "2"],
+        ],
+    )
+    def test_unread_run_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+
+    def test_sampled_mode_config_in_optimize(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mode": "sampled"}))
+        assert main(["optimize", "--config", str(cfg), "--iters", "5"]) == EXIT_VALIDATION
+        assert "exact evaluator only" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_grid_validation_passes(self, capsys):

@@ -113,6 +113,15 @@ class TestExperimentConfig:
             {"p_values": (1.5,)},
             {"steps": (0,)},
             {"shots": 0},
+            # wrong types: a ValueError, not a TypeError further down
+            {"p_values": 0.01},
+            {"p_values": "0.01"},
+            {"steps": 3.5},
+            {"steps": (3.5,)},
+            {"shots": "10"},
+            {"seed": True},
+            {"learning_rate": None},
+            {"threads": 1.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -12,6 +12,7 @@ from noisyqaoa import (
     GateSequence,
     QaoaParams,
     WeightedGraph,
+    apply_gate,
     build_circuit,
     cost_exact,
     cost_sampled,
@@ -222,8 +223,11 @@ ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
         lambda seq, h, ch: adjoint_gradient_ideal(seq, h),
         lambda seq, h, ch: adjoint_gradient_noisy(seq, h, ch),
         lambda seq, h, ch: trajectory_states(seq, ch, 4, seed=1),
+        lambda seq, h, ch: run_ideal(seq),
+        lambda seq, h, ch: apply_gate(plus_state(seq.num_qubits), seq.gates[0]),
     ],
-    ids=["run_exact_noisy", "adjoint_gradient_ideal", "adjoint_gradient_noisy", "trajectory_states"],
+    ids=["run_exact_noisy", "adjoint_gradient_ideal", "adjoint_gradient_noisy", "trajectory_states",
+         "run_ideal", "apply_gate"],
 )
 def test_kernels_reject_non_diagonal_two_qubit_gate(kernel, single_edge):
     # unchecked, adjoint_gradient_noisy would apply only the top-left 2x2

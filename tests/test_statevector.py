@@ -18,7 +18,7 @@ from noisyqaoa import (
     sample_kraus,
 )
 from noisyqaoa.noise import custom_channel
-from noisyqaoa.statevector import apply_gate_density, apply_superop_1q, mul_left_1q, mul_right_1q
+from noisyqaoa.statevector import apply_superop_1q, gate_on, mul_left_1q, mul_right_1q
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -134,6 +134,32 @@ class TestApplyGate:
         out = apply_gate(random_state(m, rng), GateOp(kind="single", targets=(q,), matrix=u))
         assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
+    @given(m=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_dense_operator(self, m, seed):
+        # oracle: the kron-lifted 2^m x 2^m matrix, which shares no code
+        # with gate_on; checked on a (T, 2^m) batch and on a single state
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        q = int(rng.integers(m))
+        gates = [(GateOp(kind="single", targets=(q,), matrix=u), lift(u, q, m))]
+        if m >= 2:
+            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+            d = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4))
+            Z = np.diag([1.0, -1.0])
+            # d is indexed 2 * b_i + b_j; build it from projectors on each bit
+            proj = ((np.eye(2) + Z) / 2, (np.eye(2) - Z) / 2)
+            full = sum(d[2 * bi + bj] * lift(proj[bi], i, m) @ lift(proj[bj], j, m)
+                       for bi in (0, 1) for bj in (0, 1))
+            gates.append((GateOp(kind="two", targets=(i, j), matrix=np.diag(d), diag=d), full))
+        T = int(rng.integers(1, 5))
+        batch = rng.normal(size=(T, 1 << m)) + 1j * rng.normal(size=(T, 1 << m))
+        for gate, full in gates:
+            assert np.abs(gate_on(batch, gate, m) - batch @ full.T).max() < 1e-13
+            psi = random_state(m, rng)
+            out = apply_gate(psi, gate).amplitudes
+            assert np.abs(out - full @ psi.amplitudes).max() < 1e-13
+
 
 class TestApplyKrausExact:
     def test_depolarizing_fixes_maximally_mixed(self):
@@ -234,18 +260,6 @@ class TestKernelHelpers:
                 out = kernel(rho, M, q, m, out=buf[1])
                 assert np.shares_memory(out, buf[1])
                 assert np.array_equal(out, kernel(rho, M, q, m))
-
-    def test_apply_gate_density_general_two_qubit(self, rng):
-        m = 3
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u, _ = np.linalg.qr(a)
-        rho = random_state(m, rng).projector()
-        gate = GateOp(kind="two", targets=(0, 2), matrix=u)
-        out = apply_gate_density(rho, gate)
-        # oracle through the pure state
-        psi = StateVector(m, rho.entries[:, 0] / np.linalg.norm(rho.entries[:, 0]))
-        expected = apply_gate(psi, gate).projector().entries
-        assert np.abs(out.entries - expected).max() < 1e-10
 
 
 class TestSampleKraus:
