@@ -64,7 +64,8 @@ def parse_config(text: str) -> dict:
 def _merge_settings(args) -> None:
     """Set args.settings, the run's ExperimentConfig: each field from its
     explicit flag, else from the --config file, else the dataclass
-    default. Commands without the run flags are left alone."""
+    default; args.config_keys holds the keys the file set. Commands
+    without the run flags are left alone."""
     if not hasattr(args, "config"):
         return
     settings = {}
@@ -74,6 +75,7 @@ def _merge_settings(args) -> None:
                 settings = parse_config(fh.read())
         except OSError as exc:
             raise GraphFormatError(f"cannot read config file {args.config!r}: {exc}")
+    args.config_keys = frozenset(settings)
     if getattr(args, "grid", False):
         args.p_values = noise_grid()
     elif args.p is not None:
@@ -195,12 +197,22 @@ def cmd_optimize(args) -> int:
     settings = args.settings
     if settings.mode != "exact":
         raise GraphFormatError(f"optimize runs the exact evaluator only, not mode {settings.mode!r}")
+    unread = sorted(args.config_keys & {"steps", "shots", "threads"})
+    if unread:
+        raise GraphFormatError(f"optimize does not read the config keys {unread}")
+    p = 0.0
+    if args.p is not None or "p_values" in args.config_keys:
+        if len(settings.p_values) != 1:
+            raise GraphFormatError(
+                f"optimize takes one noise strength, not {len(settings.p_values)} p_values"
+            )
+        p = settings.p_values[0]
     graph = load_graph(settings.graph_source)
     rng = np.random.default_rng(settings.seed)
     init = random_init(args.n, rng)
-    if args.p is not None and args.p > 0:
-        evaluator = exact_noisy_evaluator(graph, make_channel(settings.channel, args.p))
-        label = f"noisy ({settings.channel}, p={args.p})"
+    if p > 0:
+        evaluator = exact_noisy_evaluator(graph, make_channel(settings.channel, p))
+        label = f"noisy ({settings.channel}, p={p})"
     else:
         evaluator = ideal_evaluator(graph)
         label = "ideal"

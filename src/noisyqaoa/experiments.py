@@ -283,8 +283,11 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     """Output-state fidelity F = <ideal|rho_noisy|ideal> over the (p, n) grid.
 
     Circuit parameters are drawn once per n from the master seed
-    (uniform on [-pi, pi]) and echoed in the metadata.
+    (uniform on [-pi, pi]) and echoed in the metadata. The fidelity is
+    computed from the exact density matrix, so sampled mode is rejected.
     """
+    if config.mode != "exact":
+        raise ValueError(f"the fidelity experiment runs in exact mode only, not mode {config.mode!r}")
     graph = resolve_graph(config.graph_source)
     m, E = graph.num_nodes, graph.num_edges
     rng = np.random.default_rng([config.seed, _STREAM_FIDELITY])

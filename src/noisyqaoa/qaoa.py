@@ -30,6 +30,7 @@ from .statevector import (
     apply_1q,
     apply_gate,
     apply_superop_1q,
+    channel_superops,
     expand_diag,
     gate_on,
     mul_left_1q,
@@ -37,8 +38,6 @@ from .statevector import (
     plus_state,
     sample_kraus,
 )
-
-_X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 _ZZ_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -141,7 +140,8 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
 
     The channel acts independently on each qubit the gate touches. For
     mixer gates the unitary and channel superoperators are fused into a
-    single 4x4 application.
+    single 4x4 application. Every gate writes into the other of two
+    buffers made once per call, as in adjoint_gradient_noisy.
     """
     m = circuit.num_qubits
     if m > MAX_DENSE_QUBITS:
@@ -149,16 +149,21 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
     _check_gates(circuit)
     dim = 1 << m
     rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
+    spare = np.empty_like(rho)
     S_ch = channel.superop
+    ch = channel_superops(channel)[0]
     for gate in circuit.gates:
         if gate.diag is not None:
             d = expand_diag(m, gate.targets, gate.diag)
-            rho = rho * np.outer(d, d.conj())
+            # phase first, as in adjoint_gradient_noisy
+            np.multiply(d[:, None], d.conj()[None, :], out=spare)
+            np.multiply(spare, rho, out=spare)
+            rho, spare = spare, rho
             for q in gate.targets:
-                rho = apply_superop_1q(rho, S_ch, q, m)
+                rho, spare = apply_superop_1q(rho, ch, q, m, out=spare), rho
         else:
             S = S_ch @ np.kron(gate.matrix, gate.matrix.conj())
-            rho = apply_superop_1q(rho, S, gate.targets[0], m)
+            rho, spare = apply_superop_1q(rho, S, gate.targets[0], m, out=spare), rho
     return DensityMatrix(m, rho)
 
 
@@ -217,12 +222,19 @@ def adjoint_gradient_noisy(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact-noisy cost and shift-rule gradient via forward/backward sweeps.
 
-    The forward pass stores each post-unitary, pre-noise density matrix;
-    the backward pass propagates the observable through the adjoint
-    channel and gate maps. The per-gate derivative is
-    Tr(E_k d(U rho U^dag)/dtheta) with E_k the back-propagated
-    observable, identical (to rounding) to the shifted-evaluation
-    construction. Returns (cost, d_gamma, d_beta).
+    The forward pass stores each post-unitary, pre-noise density matrix
+    sigma_k; the backward pass propagates the observable through the
+    adjoint channel and gate maps (Jones & Gacon, arXiv:2009.02823). For
+    a gate exp(-i theta G) the derivative is Tr(E_k dsigma_k/dtheta) =
+    -i Tr(E_k [G, sigma_k]), with E_k the back-propagated observable and
+    G = w Z_i Z_j (edge gate) or -X_q (mixer); this equals the
+    shifted-evaluation construction to rounding. E_k and sigma_k are
+    Hermitian for any CPTP channel, so Tr(E [G, sigma]) =
+    2i Im Tr(E G sigma), one contraction of conj(E) with G sigma, both in
+    storage order: G sigma is sigma with its rows scaled by the ZZ parity,
+    or with the qubit's row bit flipped (a view). A Pauli channel takes
+    the closed form of apply_superop_1q in both sweeps, being its own
+    adjoint. Returns (cost, d_gamma, d_beta).
 
     Every density-matrix result goes into buffers made once per call (a
     sigma stack and four work matrices): with fresh arrays per gate, how
@@ -236,8 +248,7 @@ def adjoint_gradient_noisy(
     _check_gates(circuit)
     n = _num_steps(circuit)
     dim = 1 << m
-    S_ch = channel.superop
-    S_adj = channel.superop_adjoint
+    S_ch, S_adj = channel_superops(channel)
     # work[0] and work[1]: the channel outputs of one gate; work[2] and
     # work[3]: scratch, and work[3] holds the back-propagated D
     work = np.empty((4, dim, dim), dtype=complex)
@@ -265,18 +276,18 @@ def adjoint_gradient_noisy(
         E = D
         for j, q in enumerate(reversed(gate.targets)):
             E = apply_superop_1q(E, S_adj, q, m, out=work[j])
+        Ec = np.conjugate(E, out=work[2])
         if gate.param == "gamma":
             s = expand_diag(m, gate.targets, _ZZ_PARITY)
-            # Tr(E (-i w) [ZZ, sigma]) with [ZZ, sigma]_rc = (s_r - s_c) sigma_rc
-            M = np.subtract(s[:, None], s[None, :], out=work[2])
-            np.multiply(sigma, M, out=M)
-            d_gamma[gate.step] += gate.weight * complex(np.einsum("rc,cr->", E, M)).imag
+            # Tr(E (-i w) [ZZ, sigma]) = 2 w Im sum_c s_c (sigma E)_cc
+            diag = np.einsum("cr,cr->c", sigma, Ec)
+            d_gamma[gate.step] += 2.0 * gate.weight * float((diag @ s).imag)
         else:
             q = gate.targets[0]
-            comm = mul_left_1q(sigma, _X_MAT, q, m, out=work[2])
-            np.subtract(comm, mul_right_1q(sigma, _X_MAT, q, m, out=work[3]), out=comm)
-            # Tr(E (+i) [X, sigma])
-            d_beta[gate.step] += -complex(np.einsum("rc,cr->", E, comm)).imag
+            hi = 1 << (m - 1 - q)
+            # Tr(E (+i) [X, sigma]) = -2 Im Tr(E X sigma)
+            flipped = sigma.reshape(hi, 2, -1)[:, ::-1]
+            d_beta[gate.step] += -2.0 * complex(np.einsum("aub,aub->", Ec.reshape(hi, 2, -1), flipped)).imag
         if gate.diag is not None:
             d = expand_diag(m, gate.targets, gate.diag)
             np.multiply(d.conj()[:, None], d[None, :], out=work[2])

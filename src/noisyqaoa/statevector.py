@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import NoiseChannel
+from .noise import NoiseChannel, PauliForm
 
 MAX_PURE_QUBITS = 24
 MAX_DENSE_QUBITS = 12
@@ -186,31 +186,37 @@ _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def apply_superop_1q(
-    rho: np.ndarray, S: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
+    rho: np.ndarray, S, qubit: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply a 4x4 superoperator to the (row bit, col bit) pair of one qubit.
+    """Apply a 4x4 superoperator, or a PauliForm, to one qubit of rho.
 
-    A sparse S (a Pauli channel has at most 8 nonzero entries) is applied
-    elementwise over the four (row bit, col bit) blocks of rho, skipping
-    zero entries, with no BLAS call. A dense S (a gate fused with its
-    channel) takes one gemm, which is cheaper than 16 scaled block adds.
-    The result goes to `out` (C-contiguous, the shape of rho, not rho
-    itself) when given, else to a new array.
+    A PauliForm (see channel_superops) is applied in closed form on whole
+    arrays with real weights. Any other sparse S (amplitude damping, say;
+    at most 8 nonzero entries) is applied elementwise over the four
+    (row bit, col bit) blocks of rho, skipping zero entries. A dense S (a
+    gate fused with its channel) takes one gemm, which is cheaper than 16
+    scaled block adds; it is the only path that calls BLAS. The result
+    goes to `out` (C-contiguous, the shape of rho, not rho itself) when
+    given, else to a new array.
     """
     hi, lo = 1 << (m - 1 - qubit), 1 << qubit
+    out = np.empty(rho.shape, dtype=complex) if out is None else out
+    if isinstance(S, PauliForm):
+        return _apply_pauli_1q(rho, S, hi, lo, out)
     if np.count_nonzero(S) > 8:
-        t = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
-        t = (S @ t.reshape(4, -1)).reshape(2, 2, hi, lo, hi, lo).transpose(2, 0, 3, 4, 1, 5)
-        if out is None:
-            return t.reshape(rho.shape)
-        np.copyto(out.reshape(t.shape), t)
+        # out first holds rho with the qubit's (row bit, col bit) leading,
+        # so that the gemm leaves one temporary, not two
+        x = out.reshape(2, 2, hi, lo, hi, lo)
+        np.copyto(x, rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5))
+        y = (S @ x.reshape(4, -1)).reshape(x.shape)
+        np.copyto(out.reshape(hi, 2, lo, hi, 2, lo), y.transpose(2, 0, 3, 4, 1, 5))
         return out
     t = rho.reshape(hi, 2, lo * hi, 2, lo)
     blocks = [t[:, u, :, v] for u, v in _BIT_PAIRS]
-    out = np.empty_like(t) if out is None else out.reshape(t.shape)
+    o4 = out.reshape(t.shape)
     tmp = np.empty(blocks[0].shape, dtype=out.dtype)
     for a, (u, v) in enumerate(_BIT_PAIRS):
-        o = out[:, u, :, v]
+        o = o4[:, u, :, v]
         terms = [(S[a, b], blk) for b, blk in enumerate(blocks) if S[a, b] != 0]
         if not terms:
             o[...] = 0
@@ -219,7 +225,47 @@ def apply_superop_1q(
         for c, blk in terms[1:]:
             np.multiply(c, blk, out=tmp)
             np.add(o, tmp, out=o)
-    return out.reshape(rho.shape)
+    return out
+
+
+def _apply_pauli_1q(rho: np.ndarray, w: PauliForm, hi: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """The PauliForm w on the qubit whose bit splits rho's index as (hi, 2, lo).
+
+    One whole-array pass gets one pair of blocks right: c rho for the
+    off-diagonal pair when d = 0, else rho + b (X rho X - rho) for the
+    diagonal pair, with X rho X a view with both bits flipped. The other
+    pair is then fixed up block by block, which dephasing (a copy) and
+    depolarizing (adding b Tr_q rho) do cheaply and bit-flip skips.
+    """
+    b, c, d = w
+    t = rho.reshape(hi, 2, lo * hi, 2, lo)
+    o = out.reshape(t.shape)
+    if d == 0:
+        np.multiply(rho, c, out=out)
+        if b == 0:
+            for u in (0, 1):
+                np.copyto(o[:, u, :, u], t[:, u, :, u])
+            return out
+        # diagonal blocks: (1 - b) rho_uu + b rho_(1-u)(1-u) = c rho_uu + e rho_uu + b Tr_q rho
+        tr = np.add(t[:, 0, :, 0], t[:, 1, :, 1])
+        np.multiply(tr, b, out=tr)
+        e = 1 - 2 * b - c
+        for u in (0, 1):
+            if e != 0:
+                np.add(o[:, u, :, u], e * t[:, u, :, u], out=o[:, u, :, u])
+            np.add(o[:, u, :, u], tr, out=o[:, u, :, u])
+        return out
+    np.subtract(t[:, ::-1, :, ::-1], t, out=o)
+    np.multiply(out, b, out=out)
+    np.add(out, rho, out=out)
+    if (c, d) != (1 - b, b):
+        # off-diagonal blocks: c rho_uv + d rho_vu = (c - d) rho_uv + d (rho_01 + rho_10)
+        s = np.add(t[:, 0, :, 1], t[:, 1, :, 0])
+        np.multiply(s, d, out=s)
+        for u in (0, 1):
+            np.multiply(t[:, u, :, 1 - u], c - d, out=o[:, u, :, 1 - u])
+            np.add(o[:, u, :, 1 - u], s, out=o[:, u, :, 1 - u])
+    return out
 
 
 def mul_left_1q(
@@ -236,11 +282,24 @@ def mul_right_1q(
     return apply_1q(arr, M.T, qubit, out)
 
 
+def channel_superops(channel: NoiseChannel) -> tuple:
+    """(forward, adjoint) operands of apply_superop_1q for one channel.
+
+    A Pauli channel gives its PauliForm for both, as it is its own
+    adjoint; it is classified once, when the channel's pauli_form is
+    first read. Any other channel gives its two 4x4 superoperators.
+    """
+    pauli = channel.pauli_form
+    if pauli is None:
+        return channel.superop, channel.superop_adjoint
+    return pauli, pauli
+
+
 def apply_kraus_exact(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> DensityMatrix:
     """Exact channel action sum_i (K_i x I) rho (K_i x I)^dag on one qubit."""
     m = rho.num_qubits
     _check_targets(m, (qubit,))
-    return DensityMatrix(m, apply_superop_1q(rho.entries, channel.superop, qubit, m))
+    return DensityMatrix(m, apply_superop_1q(rho.entries, channel_superops(channel)[0], qubit, m))
 
 
 def _reduced_gram(psi: np.ndarray, qubit: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:

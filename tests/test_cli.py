@@ -126,6 +126,22 @@ class TestExitCodes:
         assert main(["optimize", "--config", str(cfg), "--iters", "5"]) == EXIT_VALIDATION
         assert "exact evaluator only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc", [{"steps": [2]}, {"shots": 10}, {"threads": 2}, {"p_values": [0.01, 0.02]}]
+    )
+    def test_unread_config_key_in_optimize(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(cfg), "--iters", "5"]) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+
+    def test_sampled_fidelity_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiment", "fidelity", "--mode", "sampled", "--shots", "3", "--steps", "1", "--p", "0.02"])
+        assert code == EXIT_VALIDATION
+        assert "mode 'sampled'" in capsys.readouterr().err
+        assert not (tmp_path / "fidelity.csv").exists()
+
 
 class TestValidateCommand:
     def test_grid_validation_passes(self, capsys):
@@ -176,6 +192,16 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "noisy (depolarizing, p=0.01)" in out
+
+    def test_config_p_values_entry_is_the_noise_strength(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph(WeightedGraph(2, ((0, 1, 1.0),))))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"graph_source": str(path), "p_values": [0.01], "channel": "dephasing"}))
+        code = main(["optimize", "--config", str(cfg), "--iters", "20"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "noisy (dephasing, p=0.01)" in out
 
 
 class TestExperimentCommand:

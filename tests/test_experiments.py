@@ -230,6 +230,10 @@ class TestFidelityExperiment:
         again = run_fidelity_experiment(ExperimentConfig(**SMALL))
         assert again.rows == fidelity_table.rows
 
+    def test_sampled_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode 'sampled'"):
+            run_fidelity_experiment(ExperimentConfig(**SMALL, mode="sampled"))
+
 
 class TestCostExperiment:
     def test_ratio_one_at_p_zero(self, cost_table):

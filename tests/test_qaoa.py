@@ -343,6 +343,33 @@ class TestTrajectories:
             trajectory_states(seq, make_channel("bitflip", 0.1), 2)
 
 
+class TestAdjointGradientNoisy:
+    @pytest.mark.parametrize("gamma", [0.05, 0.6])
+    def test_amplitude_damping_matches_finite_differences(self, gamma):
+        # amplitude damping is no Pauli channel: it takes the block loop, is
+        # not its own adjoint, and its sigma and E are Hermitian only because
+        # the channel is CPTP, which the one-contraction gradient terms assume
+        channel = amplitude_damping(gamma)
+        assert channel.pauli_form is None
+        h = problem_hamiltonian(TRIANGLE)
+        rng = np.random.default_rng(17)
+        gam, bet = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+
+        def cost(g, b):
+            rho = run_exact_noisy(build_circuit(TRIANGLE, QaoaParams(g, b)), channel)
+            return exact_expectation(rho, h)
+
+        cost0, d_gamma, d_beta = adjoint_gradient_noisy(build_circuit(TRIANGLE, QaoaParams(gam, bet)), h, channel)
+        assert cost0 == pytest.approx(cost(gam, bet), abs=1e-12)
+        step = 1e-5
+        for k in range(2):
+            e = np.eye(2)[k] * step
+            fd_gamma = (cost(gam + e, bet) - cost(gam - e, bet)) / (2 * step)
+            fd_beta = (cost(gam, bet + e) - cost(gam, bet - e)) / (2 * step)
+            assert d_gamma[k] == pytest.approx(fd_gamma, abs=1e-8)
+            assert d_beta[k] == pytest.approx(fd_beta, abs=1e-8)
+
+
 class TestCost:
     def test_ideal_cost_matches_expectation(self, table1, table1_h, rng):
         params = QaoaParams(rng.normal(size=2), rng.normal(size=2))

@@ -17,11 +17,18 @@ from noisyqaoa import (
     pure_fidelity,
     sample_kraus,
 )
-from noisyqaoa.noise import custom_channel
-from noisyqaoa.statevector import apply_superop_1q, gate_on, mul_left_1q, mul_right_1q
+from noisyqaoa.noise import PauliForm, custom_channel
+from noisyqaoa.statevector import (
+    apply_superop_1q,
+    channel_superops,
+    gate_on,
+    mul_left_1q,
+    mul_right_1q,
+)
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULIS = (np.eye(2), X, np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0]))
 
 
 def basis_state(m, index):
@@ -236,6 +243,46 @@ class TestKernelHelpers:
             expected = sum(lift(K, q, m) @ rho @ lift(K, q, m).conj().T for K in ch.kraus)
             assert np.abs(out - expected).max() < 1e-13
 
+    @given(
+        shape=st.sampled_from(["dephasing", "bitflip", "depolarizing", "x=y", "random"]),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pauli_form_matches_kraus_sum(self, shape, m, seed):
+        # the named channels and custom Pauli mixtures (Kraus operators with
+        # random phases; "x=y" has w_X = w_Y, so d = 0 with c != 1 - 2b)
+        # take the closed form, forward and adjoint, on every qubit
+        rng = np.random.default_rng(seed)
+        if shape in ("dephasing", "bitflip", "depolarizing"):
+            ch = make_channel(shape, rng.choice([0.0, 1.0, rng.random()]))
+        else:
+            w = rng.dirichlet(np.ones(4))
+            if shape == "x=y":
+                w[2] = w[1]
+                w /= w.sum()
+            ch = custom_channel([np.sqrt(wi) * np.exp(2j * np.pi * rng.random()) * P for wi, P in zip(w, PAULIS)])
+        forward, adjoint = channel_superops(ch)
+        assert isinstance(forward, PauliForm) and adjoint is forward
+        rho = random_state(m, rng).projector().entries
+        a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+        obs = a + a.conj().T
+        for q in range(m):
+            Ks = [lift(K, q, m) for K in ch.kraus]
+            expected = sum(K @ rho @ K.conj().T for K in Ks)
+            assert np.abs(apply_superop_1q(rho, forward, q, m) - expected).max() < 1e-13
+            expected = sum(K.conj().T @ obs @ K for K in Ks)
+            assert np.abs(apply_superop_1q(obs, adjoint, q, m) - expected).max() < 1e-13 * np.abs(obs).max()
+
+    def test_pauli_form_takes_the_named_short_forms(self):
+        dep, deph, flip = (make_channel(kind, 0.3).pauli_form for kind in ("depolarizing", "dephasing", "bitflip"))
+        assert dep.d == 0.0 and dep.c == 1 - 2 * dep.b
+        assert deph.b == 0.0 and deph.d == 0.0
+        assert (flip.c, flip.d) == (1 - flip.b, flip.b)
+        damping = custom_channel([np.diag([1.0, np.sqrt(0.7)]), np.sqrt(0.3) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+        assert damping.pauli_form is None
+        assert channel_superops(damping)[0] is damping.superop
+
     def test_mul_left_right(self, rng):
         m = 3
         arr = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -252,7 +299,7 @@ class TestKernelHelpers:
         dense = np.kron(M, M.conj())  # 16 nonzero entries: the gemm path
         buf = np.empty((2, 8, 8), dtype=complex)
         for q in range(m):
-            for S in (make_channel("depolarizing", 0.3).superop, dense):
+            for S in (make_channel("depolarizing", 0.3).superop, make_channel("bitflip", 0.3).pauli_form, dense):
                 out = apply_superop_1q(rho, S, q, m, out=buf[1])
                 assert np.shares_memory(out, buf[1])
                 assert np.array_equal(out, apply_superop_1q(rho, S, q, m))
