@@ -98,13 +98,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown evaluator mode {self.mode!r}")
         if self.channel not in KINDS or self.channel == "custom":
             raise ValueError(f"unknown channel kind {self.channel!r}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be >= 1, not {self.threads}")
 
     def worker_count(self) -> int:
+        """threads, else a non-empty $NOISYQAOA_THREADS, else min(CPU count, 8)."""
         if self.threads is not None:
-            return max(1, self.threads)
+            return self.threads
         env = os.environ.get(THREADS_ENV_VAR)
         if env:
-            return max(1, int(env))
+            if not env.isdecimal() or int(env) < 1:
+                raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, not {env!r}")
+            return int(env)
         return min(os.cpu_count() or 1, 8)
 
 
@@ -499,6 +504,7 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
     marked in scope.
     """
     graph = resolve_graph(config.graph_source)
+    workers = config.worker_count()
     m, E = graph.num_nodes, graph.num_edges
     ideal_traces = {}
     jobs = []
@@ -515,7 +521,8 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
                     config.mode, config.shots, config.seed, n_idx, p_idx,
                 )
             )
-    workers = config.worker_count()
+    # largest n first, so that the pool does not end on one slow cell
+    jobs.sort(key=lambda job: -config.steps[job[10]])
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_optimization_cell, jobs))

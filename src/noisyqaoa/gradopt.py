@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .qaoa import (
 )
 from .statevector import SimulationError
 
+# not typing.Callable: typing's cache of subscripted aliases kept every
+# imported copy of this package alive, with its module-level caches
 Evaluator = Callable[[GateSequence], float]
 
 

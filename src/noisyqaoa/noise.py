@@ -4,35 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 CPTP_TOL = 1e-12
-PAULI_TOL = 1e-14  # superoperator entries are O(1); their rounding is ~1e-16
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULIS = np.stack([_I2, _X, _Y, _Z])
 
 KINDS = ("dephasing", "bitflip", "depolarizing", "custom")
-
-
-class PauliForm(NamedTuple):
-    """A Pauli channel rho -> sum_P w_P P rho P as block weights on one qubit.
-
-    With u the row bit and v the column bit of that qubit, the channel maps
-    the diagonal blocks as rho'_uu = (1 - b) rho_uu + b rho_(1-u)(1-u) and
-    the off-diagonal ones as rho'_uv = c rho_uv + d rho_vu, where
-    b = w_X + w_Y, c = w_I - w_Z and d = w_X - w_Y are real. Dephasing has
-    b = d = 0, depolarizing d = 0 and c = 1 - 2b, bit-flip c = 1 - b and
-    d = b. The map is its own adjoint.
-    """
-
-    b: float
-    c: float
-    d: float
 
 
 @dataclass(frozen=True)
@@ -70,29 +54,14 @@ class NoiseChannel:
         return S
 
     @cached_property
-    def pauli_form(self) -> PauliForm | None:
-        """The channel's PauliForm when its superoperator has the Pauli
-        pattern [[1-b, 0, 0, b], [0, c, d, 0], [0, d, c, 0], [b, 0, 0, 1-b]]
-        to PAULI_TOL, else None.
-
-        Weights that match a named channel's relations to PAULI_TOL are set
-        to match them exactly, so that the kernel takes that channel's
-        short form.
-        """
-        S = self.superop
-        b, c, d = (float(x.real) for x in (S[0, 3], S[1, 1], S[1, 2]))
-        pattern = np.array([[1 - b, 0, 0, b], [0, c, d, 0], [0, d, c, 0], [b, 0, 0, 1 - b]])
-        if np.abs(S - pattern).max() > PAULI_TOL:
-            return None
-        if abs(d) <= PAULI_TOL:
-            d = 0.0
-            if abs(b) <= PAULI_TOL:
-                b = 0.0
-            elif abs(c - (1 - 2 * b)) <= PAULI_TOL:
-                c = 1 - 2 * b
-        elif abs(c - (1 - b)) <= PAULI_TOL and abs(d - b) <= PAULI_TOL:
-            c, d = 1 - b, b
-        return PauliForm(b, c, d)
+    def ptm(self) -> np.ndarray:
+        """Pauli transfer matrix R_PQ = Tr(P Lambda(Q)) / 2 over (I, X, Y, Z)
+        (Greenbaum, arXiv:1509.02921): Pauli coefficients r go to R r, and
+        the adjoint map has R.T. It is real, so the imaginary rounding
+        residue is dropped; a Pauli channel has a diagonal R."""
+        images = sum(K @ _PAULIS @ K.conj().T for K in self.kraus)
+        R = 0.5 * np.einsum("pab,qba->pq", _PAULIS, images)
+        return np.ascontiguousarray(R.real)
 
     @cached_property
     def unitary_mixture(self) -> tuple | None:

@@ -9,6 +9,13 @@ not counted.
 
 Noise is inserted after every gate, once per touched qubit (two channel
 applications for edge gates, one for mixer gates).
+
+Exact noisy evolution runs on the state's 4^m real Pauli coefficients
+(see statevector): every channel is its Pauli transfer matrix on one
+qubit's axis and every gate a set of real rotations between coefficient
+pairs, by the angle phi = 2 w theta. One forward sweep serves the noisy
+cost, which reads the Z_i Z_j coefficients, the density matrix of
+run_exact_noisy, converted once at the end, and the adjoint gradient.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import numpy as np
 from .maxcut import ProblemHamiltonian, WeightedGraph, exact_expectation
 from .noise import CPTP_TOL, NoiseChannel
 from .statevector import (
-    GATE_RULE,
     MAX_DENSE_QUBITS,
     DensityMatrix,
     GateOp,
@@ -29,13 +35,14 @@ from .statevector import (
     StateVector,
     apply_1q,
     apply_gate,
-    apply_superop_1q,
-    channel_superops,
+    apply_ptm,
     expand_diag,
     gate_on,
-    mul_left_1q,
-    mul_right_1q,
+    pauli_to_density,
     plus_state,
+    ptm_scales,
+    rotate_pairs,
+    rotation_pairs,
     sample_kraus,
 )
 
@@ -127,44 +134,63 @@ def run_ideal(circuit: GateSequence) -> StateVector:
     return state
 
 
-def _check_gates(circuit: GateSequence) -> None:
-    """The density-matrix kernels below take the gates gate_on takes:
-    single-qubit and diagonal two-qubit gates, which is every gate
-    build_circuit makes."""
-    if any(g.diag is None and g.kind != "single" for g in circuit.gates):
-        raise ValueError(GATE_RULE)
+def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | None, targets) -> tuple:
+    """(result, spare buffer) of the transfer matrix R on each target: in
+    place for a Pauli channel (scales = ptm_scales(R)), else via spare.
+    Channels on different qubits commute, so the adjoint keeps the order."""
+    for q in targets:
+        if scales is None:
+            r, spare = apply_ptm(r, R, q, spare), r
+        else:
+            r *= scales[q]
+    return r, spare
 
 
-def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
-    """Exact density-matrix evolution with the channel after every gate.
-
-    The channel acts independently on each qubit the gate touches. For
-    mixer gates the unitary and channel superoperators are fused into a
-    single 4x4 application. Every gate writes into the other of two
-    buffers made once per call, as in adjoint_gradient_noisy.
-    """
+def _gate_pairs(circuit: GateSequence) -> list:
+    """rotation_pairs of every gate, built once for all the gates of one
+    kind on the same qubits (every step repeats them)."""
     m = circuit.num_qubits
     if m > MAX_DENSE_QUBITS:
         raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
-    _check_gates(circuit)
-    dim = 1 << m
-    rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
-    spare = np.empty_like(rho)
-    S_ch = channel.superop
-    ch = channel_superops(channel)[0]
-    for gate in circuit.gates:
-        if gate.diag is not None:
-            d = expand_diag(m, gate.targets, gate.diag)
-            # phase first, as in adjoint_gradient_noisy
-            np.multiply(d[:, None], d.conj()[None, :], out=spare)
-            np.multiply(spare, rho, out=spare)
-            rho, spare = spare, rho
-            for q in gate.targets:
-                rho, spare = apply_superop_1q(rho, ch, q, m, out=spare), rho
-        else:
-            S = S_ch @ np.kron(gate.matrix, gate.matrix.conj())
-            rho, spare = apply_superop_1q(rho, S, gate.targets[0], m, out=spare), rho
-    return DensityMatrix(m, rho)
+    keys = [(g.kind, g.param, g.diag is None, g.targets) for g in circuit.gates]
+    built = {key: rotation_pairs(g, m) for key, g in dict(zip(keys, circuit.gates)).items()}
+    return [built[key] for key in keys]
+
+
+def _noisy_sweep(
+    circuit: GateSequence, channel: NoiseChannel, pairs: list, sigmas: np.ndarray | None = None
+) -> np.ndarray:
+    """Pauli coefficients of the noisy output of |+>^m, with the channel
+    after every gate on each qubit it touches; pairs is _gate_pairs(circuit).
+    The one forward pass of run_exact_noisy, cost_exact and
+    adjoint_gradient_noisy: sigmas[k], when given, receives the values of
+    gate k's pairs after the gate and before its channels."""
+    m = circuit.num_qubits
+    R = channel.ptm
+    scales = ptm_scales(R, m)
+    r = np.zeros((4,) * m)
+    r[(slice(0, 2),) * m] = 1.0  # |+>^m
+    r, spare = r.reshape(-1), np.empty(4 ** m)
+    for k, (gate, idx) in enumerate(zip(circuit.gates, pairs)):
+        rotated = rotate_pairs(r, idx, 2.0 * gate.weight * gate.angle)
+        if sigmas is not None:
+            sigmas[k] = rotated
+        r, spare = _channel_on(r, spare, R, scales, gate.targets)
+    return r
+
+
+def _zz_terms(h: ProblemHamiltonian) -> list:
+    """(flat index of the Z_i Z_j coefficient, C_ij) per term: <H_p> is
+    sum_ij C_ij r_(Z_i Z_j)."""
+    return [(3 * (4 ** i + 4 ** j), w) for i, j, w in h.terms]
+
+
+def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
+    """Exact density-matrix evolution with the channel after every gate,
+    on each qubit the gate touches; the Pauli coefficients (see
+    statevector) become the density matrix once, at the end."""
+    m = circuit.num_qubits
+    return DensityMatrix(m, pauli_to_density(_noisy_sweep(circuit, channel, _gate_pairs(circuit)), m))
 
 
 def _num_steps(circuit: GateSequence) -> int:
@@ -222,80 +248,38 @@ def adjoint_gradient_noisy(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact-noisy cost and shift-rule gradient via forward/backward sweeps.
 
-    The forward pass stores each post-unitary, pre-noise density matrix
-    sigma_k; the backward pass propagates the observable through the
-    adjoint channel and gate maps (Jones & Gacon, arXiv:2009.02823). For
-    a gate exp(-i theta G) the derivative is Tr(E_k dsigma_k/dtheta) =
-    -i Tr(E_k [G, sigma_k]), with E_k the back-propagated observable and
-    G = w Z_i Z_j (edge gate) or -X_q (mixer); this equals the
-    shifted-evaluation construction to rounding. E_k and sigma_k are
-    Hermitian for any CPTP channel, so Tr(E [G, sigma]) =
-    2i Im Tr(E G sigma), one contraction of conj(E) with G sigma, both in
-    storage order: G sigma is sigma with its rows scaled by the ZZ parity,
-    or with the qubit's row bit flipped (a view). A Pauli channel takes
-    the closed form of apply_superop_1q in both sweeps, being its own
-    adjoint. Returns (cost, d_gamma, d_beta).
-
-    Every density-matrix result goes into buffers made once per call (a
-    sigma stack and four work matrices): with fresh arrays per gate, how
-    often the allocator gave the heap back to the OS and faulted it in
-    again depended on the heap layout, so one call's time varied by a
-    third from process to process.
+    The forward sweep stores sigma_k, the values of gate k's coefficient
+    pairs after the gate and before its channels. The backward sweep
+    carries the observable's coefficients e through the adjoint channels
+    (R.T) and gates (rotation by -phi) (Jones & Gacon, arXiv:2009.02823),
+    so that the cost is e . r at every point of the circuit. A gate
+    rotates its pairs (A, B) by phi = 2 w theta, so d sigma_A / d phi =
+    -sigma_B and d sigma_B / d phi = sigma_A, and the gate's term is
+    2 w sum (E_B . sigma_A - E_A . sigma_B), with E the pairs of e behind
+    the gate's channels, all in real arithmetic. This equals the
+    shifted-evaluation construction to rounding. Returns (cost, d_gamma,
+    d_beta).
     """
     m = circuit.num_qubits
-    if m > MAX_DENSE_QUBITS:
-        raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
-    _check_gates(circuit)
     n = _num_steps(circuit)
-    dim = 1 << m
-    S_ch, S_adj = channel_superops(channel)
-    # work[0] and work[1]: the channel outputs of one gate; work[2] and
-    # work[3]: scratch, and work[3] holds the back-propagated D
-    work = np.empty((4, dim, dim), dtype=complex)
-    sigmas = np.empty((len(circuit.gates), dim, dim), dtype=complex)
-    rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
-    for gate, sigma in zip(circuit.gates, sigmas):
-        if gate.diag is not None:
-            d = expand_diag(m, gate.targets, gate.diag)
-            # the phase matrix comes first: a product of complex arrays rounds
-            # by operand order where numpy's loop uses fused multiply-adds
-            np.multiply(d[:, None], d.conj()[None, :], out=work[2])
-            np.multiply(work[2], rho, out=sigma)
-        else:
-            mul_left_1q(rho, gate.matrix, gate.targets[0], m, out=work[2])
-            mul_right_1q(work[2], gate.matrix.conj().T, gate.targets[0], m, out=sigma)
-        rho = sigma
-        for j, q in enumerate(gate.targets):
-            rho = apply_superop_1q(rho, S_ch, q, m, out=work[j])
-    cost = float((h.energies * np.diagonal(rho).real).sum())
-    d_gamma = np.zeros(n)
-    d_beta = np.zeros(n)
-    D = work[3]
-    D[...] = np.diag(h.energies)
-    for gate, sigma in zip(reversed(circuit.gates), sigmas[::-1]):
-        E = D
-        for j, q in enumerate(reversed(gate.targets)):
-            E = apply_superop_1q(E, S_adj, q, m, out=work[j])
-        Ec = np.conjugate(E, out=work[2])
-        if gate.param == "gamma":
-            s = expand_diag(m, gate.targets, _ZZ_PARITY)
-            # Tr(E (-i w) [ZZ, sigma]) = 2 w Im sum_c s_c (sigma E)_cc
-            diag = np.einsum("cr,cr->c", sigma, Ec)
-            d_gamma[gate.step] += 2.0 * gate.weight * float((diag @ s).imag)
-        else:
-            q = gate.targets[0]
-            hi = 1 << (m - 1 - q)
-            # Tr(E (+i) [X, sigma]) = -2 Im Tr(E X sigma)
-            flipped = sigma.reshape(hi, 2, -1)[:, ::-1]
-            d_beta[gate.step] += -2.0 * complex(np.einsum("aub,aub->", Ec.reshape(hi, 2, -1), flipped)).imag
-        if gate.diag is not None:
-            d = expand_diag(m, gate.targets, gate.diag)
-            np.multiply(d.conj()[:, None], d[None, :], out=work[2])
-            D = np.multiply(work[2], E, out=work[3])
-        else:
-            mul_left_1q(E, gate.matrix.conj().T, gate.targets[0], m, out=work[2])
-            D = mul_right_1q(work[2], gate.matrix, gate.targets[0], m, out=work[3])
-    return cost, d_gamma, d_beta
+    pairs = _gate_pairs(circuit)
+    sigmas = np.empty((len(circuit.gates), 2, 4 ** (m - 1)))  # 4^(m-1) pairs per gate
+    r = _noisy_sweep(circuit, channel, pairs, sigmas)
+    R_adj = channel.ptm.T
+    scales = ptm_scales(R_adj, m)
+    terms = _zz_terms(h)
+    cost = float(sum(w * r[k] for k, w in terms))
+    e, spare = np.zeros(4 ** m), np.empty(4 ** m)
+    for k, w in terms:
+        e[k] += w
+    grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
+    for gate, idx, sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
+        e, spare = _channel_on(e, spare, R_adj, scales, gate.targets)
+        E = e[idx]
+        term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
+        grads[gate.param][gate.step] += 2.0 * gate.weight * term
+        rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, E)
+    return cost, grads["gamma"], grads["beta"]
 
 
 def run_trajectory(circuit: GateSequence, channel: NoiseChannel, rng) -> StateVector:
@@ -439,7 +423,8 @@ def cost_exact(
     """<H_p> of the circuit output: ideal, or exact-noisy if given a channel."""
     if channel is None:
         return exact_expectation(run_ideal(circuit), h)
-    return exact_expectation(run_exact_noisy(circuit, channel), h)
+    r = _noisy_sweep(circuit, channel, _gate_pairs(circuit))
+    return float(sum(w * r[k] for k, w in _zz_terms(h)))
 
 
 def cost_sampled(

@@ -3,16 +3,26 @@
 Qubit ordering is little-endian: qubit 0 is the least significant bit of
 the amplitude index. For an array reshaped to [2]*m the axis of qubit q
 is therefore m-1-q.
+
+The exact noisy kernels hold a density matrix as its 4^m real Pauli
+coefficients, rho = 2^-m sum_P r_P P with r_P = Tr(P rho). Qubit q's
+Pauli index (I, X, Y, Z) = (0, 1, 2, 3) sits on the axis of stride 4^q,
+so |+>^m is [1, 1, 0, 0] on every axis. A channel is its real 4x4 Pauli
+transfer matrix on one axis (NoiseChannel.ptm), a QAOA gate a set of
+real rotations between coefficient pairs, and an observable
+O = sum_P o_P P, with Tr(O rho) = o . r, goes back through both
+transposed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .noise import NoiseChannel, PauliForm
+from .noise import NoiseChannel
 
 MAX_PURE_QUBITS = 24
 MAX_DENSE_QUBITS = 12
@@ -186,31 +196,17 @@ _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def apply_superop_1q(
-    rho: np.ndarray, S, qubit: int, m: int, out: np.ndarray | None = None
+    rho: np.ndarray, S: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply a 4x4 superoperator, or a PauliForm, to one qubit of rho.
+    """Apply a 4x4 superoperator to one qubit of a 2^m x 2^m matrix rho.
 
-    A PauliForm (see channel_superops) is applied in closed form on whole
-    arrays with real weights. Any other sparse S (amplitude damping, say;
-    at most 8 nonzero entries) is applied elementwise over the four
-    (row bit, col bit) blocks of rho, skipping zero entries. A dense S (a
-    gate fused with its channel) takes one gemm, which is cheaper than 16
-    scaled block adds; it is the only path that calls BLAS. The result
-    goes to `out` (C-contiguous, the shape of rho, not rho itself) when
-    given, else to a new array.
+    Elementwise over the four (row bit, col bit) blocks of rho, skipping
+    zero entries of S, with no BLAS call. The result goes to `out`
+    (C-contiguous, the shape of rho, not rho itself) when given, else to
+    a new array.
     """
     hi, lo = 1 << (m - 1 - qubit), 1 << qubit
     out = np.empty(rho.shape, dtype=complex) if out is None else out
-    if isinstance(S, PauliForm):
-        return _apply_pauli_1q(rho, S, hi, lo, out)
-    if np.count_nonzero(S) > 8:
-        # out first holds rho with the qubit's (row bit, col bit) leading,
-        # so that the gemm leaves one temporary, not two
-        x = out.reshape(2, 2, hi, lo, hi, lo)
-        np.copyto(x, rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5))
-        y = (S @ x.reshape(4, -1)).reshape(x.shape)
-        np.copyto(out.reshape(hi, 2, lo, hi, 2, lo), y.transpose(2, 0, 3, 4, 1, 5))
-        return out
     t = rho.reshape(hi, 2, lo * hi, 2, lo)
     blocks = [t[:, u, :, v] for u, v in _BIT_PAIRS]
     o4 = out.reshape(t.shape)
@@ -228,44 +224,8 @@ def apply_superop_1q(
     return out
 
 
-def _apply_pauli_1q(rho: np.ndarray, w: PauliForm, hi: int, lo: int, out: np.ndarray) -> np.ndarray:
-    """The PauliForm w on the qubit whose bit splits rho's index as (hi, 2, lo).
-
-    One whole-array pass gets one pair of blocks right: c rho for the
-    off-diagonal pair when d = 0, else rho + b (X rho X - rho) for the
-    diagonal pair, with X rho X a view with both bits flipped. The other
-    pair is then fixed up block by block, which dephasing (a copy) and
-    depolarizing (adding b Tr_q rho) do cheaply and bit-flip skips.
-    """
-    b, c, d = w
-    t = rho.reshape(hi, 2, lo * hi, 2, lo)
-    o = out.reshape(t.shape)
-    if d == 0:
-        np.multiply(rho, c, out=out)
-        if b == 0:
-            for u in (0, 1):
-                np.copyto(o[:, u, :, u], t[:, u, :, u])
-            return out
-        # diagonal blocks: (1 - b) rho_uu + b rho_(1-u)(1-u) = c rho_uu + e rho_uu + b Tr_q rho
-        tr = np.add(t[:, 0, :, 0], t[:, 1, :, 1])
-        np.multiply(tr, b, out=tr)
-        e = 1 - 2 * b - c
-        for u in (0, 1):
-            if e != 0:
-                np.add(o[:, u, :, u], e * t[:, u, :, u], out=o[:, u, :, u])
-            np.add(o[:, u, :, u], tr, out=o[:, u, :, u])
-        return out
-    np.subtract(t[:, ::-1, :, ::-1], t, out=o)
-    np.multiply(out, b, out=out)
-    np.add(out, rho, out=out)
-    if (c, d) != (1 - b, b):
-        # off-diagonal blocks: c rho_uv + d rho_vu = (c - d) rho_uv + d (rho_01 + rho_10)
-        s = np.add(t[:, 0, :, 1], t[:, 1, :, 0])
-        np.multiply(s, d, out=s)
-        for u in (0, 1):
-            np.multiply(t[:, u, :, 1 - u], c - d, out=o[:, u, :, 1 - u])
-            np.add(o[:, u, :, 1 - u], s, out=o[:, u, :, 1 - u])
-    return out
+# no caller in the package; the benchmark's tracer looks them up by
+# name until its refresh (ROADMAP item 1) frees them
 
 
 def mul_left_1q(
@@ -282,24 +242,98 @@ def mul_right_1q(
     return apply_1q(arr, M.T, qubit, out)
 
 
-def channel_superops(channel: NoiseChannel) -> tuple:
-    """(forward, adjoint) operands of apply_superop_1q for one channel.
-
-    A Pauli channel gives its PauliForm for both, as it is its own
-    adjoint; it is classified once, when the channel's pauli_form is
-    first read. Any other channel gives its two 4x4 superoperators.
-    """
-    pauli = channel.pauli_form
-    if pauli is None:
-        return channel.superop, channel.superop_adjoint
-    return pauli, pauli
-
-
 def apply_kraus_exact(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> DensityMatrix:
     """Exact channel action sum_i (K_i x I) rho (K_i x I)^dag on one qubit."""
     m = rho.num_qubits
     _check_targets(m, (qubit,))
-    return DensityMatrix(m, apply_superop_1q(rho.entries, channel_superops(channel)[0], qubit, m))
+    return DensityMatrix(m, apply_superop_1q(rho.entries, channel.superop, qubit, m))
+
+
+def ptm_scales(R: np.ndarray, m: int) -> list | None:
+    """For a diagonal transfer matrix R (a Pauli channel, its own adjoint),
+    the length-4^m vectors whose product with r applies R on qubit q, for
+    each q; else None."""
+    if np.any(R - np.diag(np.diag(R))):
+        return None
+    return [np.tile(np.repeat(np.diag(R), 4 ** q), 4 ** (m - 1 - q)) for q in range(m)]
+
+
+def apply_ptm(r: np.ndarray, R: np.ndarray, qubit: int, out: np.ndarray) -> np.ndarray:
+    """out = the 4x4 matrix R applied on one qubit's axis of r, elementwise,
+    skipping zero entries of R, with no BLAS call; out is the size of r,
+    not r itself. The adjoint channel has the transfer matrix R.T."""
+    t = r.reshape(-1, 4, 1 << (2 * qubit))
+    o = out.reshape(t.shape)
+    for a in range(4):
+        o[:, a] = 0.0
+        for b in np.flatnonzero(R[a]):
+            o[:, a] += R[a, b] * t[:, b]
+    return out
+
+
+@lru_cache(maxsize=128)
+def _pair_offsets(m: int, targets: tuple) -> tuple[np.ndarray, tuple]:
+    """The flat indices whose digits at the targets are 0, and the (2, K)
+    offsets from them of the K slices of A sides and of B sides. Only
+    these are cached, not the 4 or 8 times larger pair indices: a module
+    cache lives as long as the module."""
+    lo, hi = min(targets), max(targets)
+    L, H = 4 ** lo, 4 ** hi
+    base = (np.arange(4 ** (m - 1 - hi))[:, None, None] * (4 * H)
+            + np.arange(max(H // (4 * L), 1))[None, :, None] * (4 * L)
+            + np.arange(L)[None, None, :]).ravel()
+    base.setflags(write=False)
+    if hi == lo:  # the mixer's (Z_q, Y_q)
+        return base, (3 * L, 2 * L)
+    # (X_lo P_hi, Y_lo Q_hi) and (P_lo X_hi, Q_lo Y_hi) for P in (I, Z)
+    return base, ((L, L + 3 * H, H, 3 * L + H), (2 * L + 3 * H, 2 * L, 3 * L + 2 * H, 2 * H))
+
+
+def rotation_pairs(gate: GateOp, m: int) -> np.ndarray:
+    """The (2, 4^(m-1)) flat indices of the coefficient pairs (A, B) that a
+    QAOA gate rotates, as A -> cos(phi) A - sin(phi) B,
+    B -> sin(phi) A + cos(phi) B with phi = 2 * weight * angle: (Z_q, Y_q)
+    for the mixer exp(+i beta X_q), and for the edge gate
+    exp(-i gamma w Z_i Z_j) the four slices (X_a P_b, Y_a Q_b) with
+    {a, b} = {i, j}, P_b in (I, Z) and Q_b the other one. Any other gate
+    raises ValueError."""
+    if gate.diag is None and gate.kind != "single":
+        raise ValueError(GATE_RULE)
+    if (gate.kind, gate.param) not in (("single", "beta"), ("two", "gamma")):
+        raise ValueError(f"Pauli kernels take QAOA mixer and edge gates only, not {gate.kind} {gate.param!r}")
+    _check_targets(m, gate.targets)
+    base, offsets = _pair_offsets(m, tuple(gate.targets))
+    return (np.reshape(offsets, (2, -1, 1)) + base).reshape(2, -1)
+
+
+def rotate_pairs(r: np.ndarray, pairs: np.ndarray, phi: float, values: np.ndarray | None = None):
+    """Rotate r's pairs at the indices rotation_pairs gives by phi, in place
+    (the adjoint gate by -phi), and return their new values; values, when
+    given, is r[pairs]. Gathered pairs are contiguous, where strided views
+    of low qubits have short inner axes that make arithmetic slow."""
+    if values is None:
+        values = r[pairs]
+    c, s = math.cos(phi), math.sin(phi)
+    new = np.multiply(values, c)
+    new[0] -= s * values[1]
+    new[1] += s * values[0]
+    r[pairs] = new
+    return new
+
+
+# (I, X, Y, Z) coefficients -> (row bit, col bit) entries (00, 01, 10, 11) of one qubit
+_PAULI_TO_BITS = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+
+
+def pauli_to_density(r: np.ndarray, m: int) -> np.ndarray:
+    """The 2^m x 2^m matrix 2^-m sum_P r_P P of Pauli coefficients r: each
+    qubit's axis becomes its (row bit, col bit) pair, then one transpose
+    gathers the row bits and the column bits."""
+    t, spare = r.astype(complex), np.empty(r.shape, dtype=complex)
+    for q in range(m):
+        t, spare = apply_ptm(t, _PAULI_TO_BITS, q, spare), t
+    order = tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2))
+    return t.reshape((2,) * (2 * m)).transpose(order).reshape(1 << m, 1 << m)
 
 
 def _reduced_gram(psi: np.ndarray, qubit: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:

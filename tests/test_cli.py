@@ -135,6 +135,22 @@ class TestExitCodes:
         assert main(["optimize", "--config", str(cfg), "--iters", "5"]) == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_is_validation_error(self, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiment", "optimization", "--threads", threads, "--steps", "1", "--p", "0.01"])
+        assert code == EXIT_VALIDATION
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "optimization.csv").exists()
+
+    def test_bad_threads_env_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NOISYQAOA_THREADS", "abc")
+        code = main(["experiment", "optimization", "--steps", "1", "--p", "0.01", "--iters", "2"])
+        assert code == EXIT_VALIDATION
+        assert "NOISYQAOA_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "optimization.csv").exists()
+
     def test_sampled_fidelity_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["experiment", "fidelity", "--mode", "sampled", "--shots", "3", "--steps", "1", "--p", "0.02"])

@@ -24,6 +24,7 @@ from noisyqaoa import (
     run_gradient_experiment,
     run_optimization_experiment,
 )
+from noisyqaoa import experiments
 from noisyqaoa.experiments import THREADS_ENV_VAR, resolve_graph
 
 
@@ -122,6 +123,9 @@ class TestExperimentConfig:
             {"seed": True},
             {"learning_rate": None},
             {"threads": 1.5},
+            # a worker count below one is rejected, not run as one worker
+            {"threads": 0},
+            {"threads": -2},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -133,6 +137,12 @@ class TestExperimentConfig:
         assert ExperimentConfig().worker_count() == 3
         monkeypatch.delenv(THREADS_ENV_VAR)
         assert ExperimentConfig(threads=2).worker_count() == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_worker_count_rejects_bad_env(self, monkeypatch, value):
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
+            ExperimentConfig().worker_count()
 
 
 class TestResultTable:
@@ -301,6 +311,22 @@ class TestOptimizationExperiment:
 
     def test_ideal_optimum_converged(self, optimization_table):
         assert optimization_table.metadata["ideal_optima"][1]["converged"]
+
+
+    def test_cells_run_longest_first(self, monkeypatch):
+        # the n=2 cells come before the n=1 cells, and the rows keep their order
+        calls = []
+
+        def cell(args):
+            calls.append(len(args[3]))
+            return args[3], args[4], float(len(args[3]))
+
+        monkeypatch.setattr(experiments, "_optimization_cell", cell)
+        cfg = ExperimentConfig(steps=(1, 2), p_values=(0.0, 0.01, 0.02), num_iters=3, threads=1)
+        table = run_optimization_experiment(cfg)
+        assert calls == [2, 2, 1, 1]
+        assert [row[:2] for row in table.rows] == [(p, n) for n in (1, 2) for p in (0.0, 0.01, 0.02)]
+        assert [row[6] for row in table.rows if row[0] > 0] == [1.0, 1.0, 2.0, 2.0]
 
 
 class TestLandscapeArgmin:

@@ -30,6 +30,7 @@ from noisyqaoa import (
 from noisyqaoa.experiments import ci_cost
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import adjoint_gradient_ideal, adjoint_gradient_noisy, noise_event_count
+from noisyqaoa.statevector import ptm_scales
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -346,11 +347,11 @@ class TestTrajectories:
 class TestAdjointGradientNoisy:
     @pytest.mark.parametrize("gamma", [0.05, 0.6])
     def test_amplitude_damping_matches_finite_differences(self, gamma):
-        # amplitude damping is no Pauli channel: it takes the block loop, is
-        # not its own adjoint, and its sigma and E are Hermitian only because
-        # the channel is CPTP, which the one-contraction gradient terms assume
+        # amplitude damping is no Pauli channel: its transfer matrix is not
+        # diagonal, so it takes the elementwise 4x4 product, and its adjoint
+        # R.T differs from R
         channel = amplitude_damping(gamma)
-        assert channel.pauli_form is None
+        assert ptm_scales(channel.ptm, 3) is None
         h = problem_hamiltonian(TRIANGLE)
         rng = np.random.default_rng(17)
         gam, bet = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)

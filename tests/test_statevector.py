@@ -7,23 +7,30 @@ from hypothesis import given, settings, strategies as st
 from noisyqaoa import (
     DensityMatrix,
     GateOp,
+    QaoaParams,
     SimulationError,
     StateVector,
+    WeightedGraph,
     apply_gate,
     apply_kraus_exact,
+    build_circuit,
     make_channel,
     measurement_probabilities,
     plus_state,
     pure_fidelity,
     sample_kraus,
 )
-from noisyqaoa.noise import PauliForm, custom_channel
+from noisyqaoa.noise import custom_channel
 from noisyqaoa.statevector import (
+    apply_ptm,
     apply_superop_1q,
-    channel_superops,
     gate_on,
     mul_left_1q,
     mul_right_1q,
+    pauli_to_density,
+    ptm_scales,
+    rotate_pairs,
+    rotation_pairs,
 )
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -50,6 +57,52 @@ def lift(M, q, m):
     for op in ops[1:]:
         full = np.kron(full, op)
     return full
+
+
+def pauli_string(index, m):
+    """The 2^m x 2^m Pauli string of flat coefficient index sum_q a_q 4^q."""
+    full = np.eye(1)
+    for q in reversed(range(m)):
+        full = np.kron(full, PAULIS[(index >> (2 * q)) & 3])
+    return full
+
+
+def pauli_basis(m):
+    return [pauli_string(k, m) for k in range(4 ** m)]
+
+
+def coefficients(rho, basis):
+    """r_P = Tr(P rho), the coordinates of rho = 2^-m sum_P r_P P."""
+    return np.array([np.trace(P @ rho).real for P in basis])
+
+
+def observable_coefficients(obs, basis):
+    """o_P with obs = sum_P o_P P, so that Tr(obs rho) = o . r."""
+    return np.array([np.trace(P @ obs).real for P in basis]) / len(basis[0])
+
+
+def random_hermitian(m, rng):
+    a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+    return a + a.conj().T
+
+
+def random_cptp(shape, rng):
+    """A random single-qubit channel of the named shape, as a Kraus set."""
+    if shape in ("dephasing", "bitflip", "depolarizing"):
+        return make_channel(shape, rng.choice([0.0, 1.0, rng.random()]))
+    if shape == "pauli-mixture":
+        # Kraus operators with random phases; their transfer matrix is diagonal
+        w = rng.dirichlet(np.ones(4))
+        return custom_channel([np.sqrt(wi) * np.exp(2j * np.pi * rng.random()) * P for wi, P in zip(w, PAULIS)])
+    if shape == "amplitude-damping":
+        g = rng.random()
+        return custom_channel([np.diag([1.0, np.sqrt(1.0 - g)]), np.sqrt(g) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+    k = int(rng.integers(1, 5))
+    V, _ = np.linalg.qr(rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2)))
+    return custom_channel([V[2 * i:2 * i + 2] for i in range(k)])
+
+
+CHANNEL_SHAPES = ("dephasing", "bitflip", "depolarizing", "pauli-mixture", "amplitude-damping", "random-kraus")
 
 
 class TestStates:
@@ -224,8 +277,8 @@ class TestKernelHelpers:
     @given(pauli=st.booleans(), k=st.integers(1, 4), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_superop_of_random_channel_matches_kraus_sum(self, pauli, k, seed):
-        # a random Pauli mixture has a sparse superoperator (elementwise
-        # path), a random Kraus set a dense one (gemm path)
+        # a random Pauli mixture has a sparse superoperator, a random Kraus
+        # set a dense one; the block loop skips zero entries of either
         rng = np.random.default_rng(seed)
         m = 3
         if pauli:
@@ -243,46 +296,6 @@ class TestKernelHelpers:
             expected = sum(lift(K, q, m) @ rho @ lift(K, q, m).conj().T for K in ch.kraus)
             assert np.abs(out - expected).max() < 1e-13
 
-    @given(
-        shape=st.sampled_from(["dephasing", "bitflip", "depolarizing", "x=y", "random"]),
-        m=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pauli_form_matches_kraus_sum(self, shape, m, seed):
-        # the named channels and custom Pauli mixtures (Kraus operators with
-        # random phases; "x=y" has w_X = w_Y, so d = 0 with c != 1 - 2b)
-        # take the closed form, forward and adjoint, on every qubit
-        rng = np.random.default_rng(seed)
-        if shape in ("dephasing", "bitflip", "depolarizing"):
-            ch = make_channel(shape, rng.choice([0.0, 1.0, rng.random()]))
-        else:
-            w = rng.dirichlet(np.ones(4))
-            if shape == "x=y":
-                w[2] = w[1]
-                w /= w.sum()
-            ch = custom_channel([np.sqrt(wi) * np.exp(2j * np.pi * rng.random()) * P for wi, P in zip(w, PAULIS)])
-        forward, adjoint = channel_superops(ch)
-        assert isinstance(forward, PauliForm) and adjoint is forward
-        rho = random_state(m, rng).projector().entries
-        a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
-        obs = a + a.conj().T
-        for q in range(m):
-            Ks = [lift(K, q, m) for K in ch.kraus]
-            expected = sum(K @ rho @ K.conj().T for K in Ks)
-            assert np.abs(apply_superop_1q(rho, forward, q, m) - expected).max() < 1e-13
-            expected = sum(K.conj().T @ obs @ K for K in Ks)
-            assert np.abs(apply_superop_1q(obs, adjoint, q, m) - expected).max() < 1e-13 * np.abs(obs).max()
-
-    def test_pauli_form_takes_the_named_short_forms(self):
-        dep, deph, flip = (make_channel(kind, 0.3).pauli_form for kind in ("depolarizing", "dephasing", "bitflip"))
-        assert dep.d == 0.0 and dep.c == 1 - 2 * dep.b
-        assert deph.b == 0.0 and deph.d == 0.0
-        assert (flip.c, flip.d) == (1 - flip.b, flip.b)
-        damping = custom_channel([np.diag([1.0, np.sqrt(0.7)]), np.sqrt(0.3) * np.array([[0.0, 1.0], [0.0, 0.0]])])
-        assert damping.pauli_form is None
-        assert channel_superops(damping)[0] is damping.superop
-
     def test_mul_left_right(self, rng):
         m = 3
         arr = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -296,17 +309,115 @@ class TestKernelHelpers:
         m = 3
         rho = random_state(m, rng).projector().entries
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        dense = np.kron(M, M.conj())  # 16 nonzero entries: the gemm path
         buf = np.empty((2, 8, 8), dtype=complex)
         for q in range(m):
-            for S in (make_channel("depolarizing", 0.3).superop, make_channel("bitflip", 0.3).pauli_form, dense):
-                out = apply_superop_1q(rho, S, q, m, out=buf[1])
-                assert np.shares_memory(out, buf[1])
-                assert np.array_equal(out, apply_superop_1q(rho, S, q, m))
+            S = make_channel("depolarizing", 0.3).superop
+            out = apply_superop_1q(rho, S, q, m, out=buf[1])
+            assert np.shares_memory(out, buf[1])
+            assert np.array_equal(out, apply_superop_1q(rho, S, q, m))
             for kernel in (mul_left_1q, mul_right_1q):
                 out = kernel(rho, M, q, m, out=buf[1])
                 assert np.shares_memory(out, buf[1])
                 assert np.array_equal(out, kernel(rho, M, q, m))
+
+
+class TestPauliTransferKernels:
+    """The Pauli-coefficient kernels against kron-lifted dense operators."""
+
+    @given(shape=st.sampled_from(CHANNEL_SHAPES), m=st.integers(1, 3), seed=st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_channel_kernels_match_kraus_sum(self, shape, m, seed):
+        # forward: the coefficients of sum_K K rho K^dag; adjoint: those of
+        # sum_K K^dag O K, through R.T; both by the elementwise product and,
+        # for a diagonal R, by the scale vectors
+        rng = np.random.default_rng(seed)
+        ch = random_cptp(shape, rng)
+        R = ch.ptm
+        assert np.abs(R[0] - [1.0, 0.0, 0.0, 0.0]).max() < 1e-14  # trace preservation
+        scales = ptm_scales(R, m)
+        assert (scales is None) == (shape in ("amplitude-damping", "random-kraus"))
+        basis = pauli_basis(m)
+        rho = random_state(m, rng).projector().entries
+        obs = random_hermitian(m, rng)
+        r, o = coefficients(rho, basis), observable_coefficients(obs, basis)
+        for q in range(m):
+            Ks = [lift(K, q, m) for K in ch.kraus]
+            forward = coefficients(sum(K @ rho @ K.conj().T for K in Ks), basis)
+            adjoint = observable_coefficients(sum(K.conj().T @ obs @ K for K in Ks), basis)
+            buf = np.empty_like(r)
+            assert np.abs(apply_ptm(r, R, q, buf) - forward).max() < 1e-13
+            assert np.abs(apply_ptm(o, R.T, q, buf) - adjoint).max() < 1e-13 * np.abs(o).max()
+            if scales is not None:
+                assert np.abs(r * scales[q] - forward).max() < 1e-13
+                assert np.abs(o * scales[q] - adjoint).max() < 1e-13 * np.abs(o).max()
+
+    @given(m=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_gate_kernels_match_conjugation(self, m, seed):
+        # forward rotation by phi: U rho U^dag; adjoint rotation by -phi:
+        # U^dag O U; for the mixer exp(i beta X_q) and every edge gate
+        # exp(-i gamma w Z_i Z_j) of a random weighted graph on m qubits
+        rng = np.random.default_rng(seed)
+        edges = tuple((i, j, float(rng.uniform(-2.0, 2.0))) for i in range(m) for j in range(i + 1, m))
+        graph = WeightedGraph(m, edges)
+        seq = build_circuit(graph, QaoaParams([rng.uniform(-np.pi, np.pi)], [rng.uniform(-np.pi, np.pi)]))
+        basis = pauli_basis(m)
+        rho = random_state(m, rng).projector().entries
+        obs = random_hermitian(m, rng)
+        for gate in seq.gates:
+            if gate.param == "beta":
+                U = lift(np.cos(gate.angle) * np.eye(2) + 1j * np.sin(gate.angle) * X, gate.targets[0], m)
+            else:
+                i, j = gate.targets
+                Z = np.diag([1.0, -1.0])
+                U = np.diag(np.exp(-1j * gate.angle * gate.weight * np.diag(lift(Z, i, m) @ lift(Z, j, m))))
+            phi = 2.0 * gate.weight * gate.angle
+            pairs = rotation_pairs(gate, m)
+            r = coefficients(rho, basis)
+            rotated = rotate_pairs(r, pairs, phi)
+            expected = coefficients(U @ rho @ U.conj().T, basis)
+            assert np.abs(r - expected).max() < 1e-13
+            assert np.array_equal(rotated[0], r[pairs[0]]) and np.array_equal(rotated[1], r[pairs[1]])
+            o = observable_coefficients(obs, basis)
+            rotate_pairs(o, pairs, -phi)
+            expected = observable_coefficients(U.conj().T @ obs @ U, basis)
+            assert np.abs(o - expected).max() < 1e-13 * np.abs(obs).max()
+
+    @given(m=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_density_conversion_matches_pauli_sum(self, m, seed):
+        rng = np.random.default_rng(seed)
+        basis = pauli_basis(m)
+        r = rng.normal(size=4 ** m)
+        expected = sum(c * P for c, P in zip(r, basis)) / 2 ** m
+        assert np.abs(pauli_to_density(r, m) - expected).max() < 1e-13
+        plus = plus_state(m).projector().entries
+        assert np.abs(pauli_to_density(coefficients(plus, basis), m) - plus).max() < 1e-15
+
+    def test_named_channels_have_their_diagonal(self):
+        p = 0.3
+        expected = {
+            "dephasing": [1.0, 1 - 2 * p, 1 - 2 * p, 1.0],
+            "bitflip": [1.0, 1.0, 1 - 2 * p, 1 - 2 * p],
+            "depolarizing": [1.0, 1 - p, 1 - p, 1 - p],
+        }
+        for kind, diag in expected.items():
+            R = make_channel(kind, p).ptm
+            assert np.abs(R - np.diag(diag)).max() < 1e-15
+            assert np.array_equal(ptm_scales(R, 2)[1], np.repeat(np.diag(R), 4))
+        # amplitude damping moves weight from Z onto I: R_ZI = gamma
+        g = 0.3
+        damping = custom_channel([np.diag([1.0, np.sqrt(1 - g)]), np.sqrt(g) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+        expected = [[1, 0, 0, 0], [0, np.sqrt(1 - g), 0, 0], [0, 0, np.sqrt(1 - g), 0], [g, 0, 0, 1 - g]]
+        assert np.abs(damping.ptm - np.array(expected)).max() < 1e-15
+        assert ptm_scales(damping.ptm, 2) is None
+
+    def test_rotation_pairs_reject_other_gates(self):
+        with pytest.raises(ValueError, match="QAOA mixer and edge gates only"):
+            rotation_pairs(GateOp(kind="single", targets=(0,), matrix=H), 2)
+        d = np.exp(1j * np.arange(4.0))
+        with pytest.raises(ValueError, match="QAOA mixer and edge gates only"):
+            rotation_pairs(GateOp(kind="two", targets=(0, 1), matrix=np.diag(d), diag=d), 2)
 
 
 class TestSampleKraus:
