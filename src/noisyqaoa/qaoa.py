@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,20 +33,23 @@ from .noise import CPTP_TOL, NoiseChannel
 from .statevector import (
     MAX_DENSE_QUBITS,
     DensityMatrix,
-    GateOp,
     SimulationError,
     StateVector,
+    _check_targets,
     apply_1q,
     apply_gate,
     apply_ptm,
+    bit_flips,
     expand_diag,
     gate_on,
+    mix,
     pauli_to_density,
     plus_state,
     ptm_scales,
     rotate_pairs,
     rotation_pairs,
     sample_kraus,
+    zz_parities,
 )
 
 _ZZ_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
@@ -83,55 +89,114 @@ class GateSequence:
         return len(self.gates)
 
 
-def _edge_gate(i: int, j: int, weight: float, angle: float, step: int) -> GateOp:
-    d = np.exp(-1j * angle * weight * _ZZ_PARITY)
-    return GateOp(
-        kind="two", targets=(i, j), matrix=np.diag(d), diag=d,
-        step=step, param="gamma", weight=weight, angle=angle,
-    )
+class QaoaGate(NamedTuple):
+    """A QAOA gate as an angle record: the edge gate
+    exp(-i angle weight Z_i Z_j) (kind "two", param "gamma") or the mixer
+    exp(+i angle X_q) (kind "single", param "beta", weight 1) of QAOA step
+    `step`. The sweeps read the angle; diag and matrix are made on demand
+    for gate_on, the trajectory kernel."""
 
+    kind: str
+    targets: tuple
+    step: int
+    param: str
+    weight: float
+    angle: float
 
-def _mixer_gate(q: int, angle: float, step: int) -> GateOp:
-    c, s = math.cos(angle), math.sin(angle)
-    mat = np.array([[c, 1j * s], [1j * s, c]])
-    return GateOp(
-        kind="single", targets=(q,), matrix=mat,
-        step=step, param="beta", weight=1.0, angle=angle,
-    )
+    @property
+    def diag(self) -> np.ndarray | None:
+        if self.kind != "two":
+            return None
+        return np.exp(-1j * self.angle * self.weight * _ZZ_PARITY)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.kind == "two":
+            return np.diag(self.diag)
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        return np.array([[c, 1j * s], [1j * s, c]])
 
 
 def build_circuit(graph: WeightedGraph, params: QaoaParams) -> GateSequence:
-    """Compile the alternating edge/mixer gate list for the given graph."""
+    """Compile the alternating edge/mixer gate list for the given graph.
+
+    Checks once for the whole circuit what GateOp checks per gate: the
+    targets are in range and distinct, and every mixer is unitary."""
+    m = graph.num_nodes
+    edges = sorted(graph.edges)
+    ij = np.array([(i, j) for i, j, _ in edges], dtype=int).reshape(-1, 2)
+    if np.any((ij < 0) | (ij >= m)) or np.any(ij[:, 0] == ij[:, 1]):
+        raise ValueError(f"edge targets out of range or repeated for {m} qubits")
+    c, s = np.cos(params.beta), np.sin(params.beta)
+    if np.abs(c * c + s * s - 1.0).max() > 1e-10:
+        raise ValueError("mixer gate is not unitary")
     gates = []
-    for k in range(params.n):
-        for i, j, w in sorted(graph.edges):
-            gates.append(_edge_gate(i, j, w, float(params.gamma[k]), k))
-        for q in range(graph.num_nodes):
-            gates.append(_mixer_gate(q, float(params.beta[k]), k))
-    return GateSequence(graph.num_nodes, tuple(gates))
+    for k, (gamma, beta) in enumerate(zip(params.gamma.tolist(), params.beta.tolist())):
+        gates += [QaoaGate("two", (i, j), k, "gamma", w, gamma) for i, j, w in edges]
+        gates += [QaoaGate("single", (q,), k, "beta", 1.0, beta) for q in range(m)]
+    return GateSequence(m, tuple(gates))
 
 
 def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequence:
     """Copy of the sequence with only gate `index`'s angle shifted by delta."""
     g = seq.gates[index]
-    if g.param == "gamma":
-        i, j = g.targets
-        shifted = _edge_gate(i, j, g.weight, g.angle + delta, g.step)
-    elif g.param == "beta":
-        shifted = _mixer_gate(g.targets[0], g.angle + delta, g.step)
-    else:
+    if g.param not in ("gamma", "beta"):
         raise ValueError(f"gate {index} carries no parameter provenance")
     gates = list(seq.gates)
-    gates[index] = shifted
+    gates[index] = g._replace(angle=g.angle + delta)
     return GateSequence(seq.num_qubits, tuple(gates))
+
+
+def _ideal_plan(circuit: GateSequence) -> tuple:
+    """The circuit as the ops of the fused pure-state sweep, in order, with
+    the weights, angles and steps of its parametrized gates. A run of
+    consecutive edge gates or of consecutive mixers is (param, table, rows),
+    with table the run's zz_parities or bit_flips and rows its slice of
+    those arrays; any other gate is ("", gate, None)."""
+    m = circuit.num_qubits
+    ops, steps, w, theta = [], [], [], []
+    for param, run in groupby(circuit.gates, key=attrgetter("param")):
+        if not param:
+            for g in run:
+                _check_targets(m, g.targets)
+                ops.append(("", g, None))
+            continue
+        _, targets, run_steps, _, run_w, run_theta = zip(*run)  # QaoaGate fields
+        table = zz_parities(m, targets) if param == "gamma" else bit_flips(m, targets)
+        ops.append((param, table, slice(len(steps), len(steps) + len(targets))))
+        steps += run_steps
+        w += run_w
+        theta += run_theta
+    return ops, np.array(w, dtype=float), np.array(theta, dtype=float), np.array(steps, dtype=int)
+
+
+def _ideal_sweep(circuit: GateSequence, plan: tuple, phases: list | None = None) -> np.ndarray:
+    """Amplitudes of |+>^m through the circuit; plan is _ideal_plan(circuit).
+    A run of edge gates is one multiply by exp(-i sum_g w_g theta_g z_i z_j),
+    a run of mixers is applied in place, any other gate by gate_on. The one
+    forward pass of run_ideal, the ideal cost_exact and
+    adjoint_gradient_ideal: phases, when given, receives each edge run's
+    phase vector."""
+    m = circuit.num_qubits
+    ops, w, theta, _ = plan
+    w_theta, angles = w * theta, theta.tolist()
+    psi = plus_state(m).amplitudes
+    for param, table, rows in ops:
+        if param == "gamma":
+            phase = np.exp(-1j * (w_theta[rows] @ table))
+            psi *= phase
+            if phases is not None:
+                phases.append(phase)
+        elif param == "beta":
+            mix(psi, table, angles[rows])
+        else:  # a gate without a parameter
+            psi = gate_on(psi, table, m)
+    return psi
 
 
 def run_ideal(circuit: GateSequence) -> StateVector:
     """|+>^m evolved through all gates in order (noiseless)."""
-    state = plus_state(circuit.num_qubits)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+    return StateVector(circuit.num_qubits, _ideal_sweep(circuit, _ideal_plan(circuit)))
 
 
 def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | None, targets) -> tuple:
@@ -152,7 +217,7 @@ def _gate_pairs(circuit: GateSequence) -> list:
     m = circuit.num_qubits
     if m > MAX_DENSE_QUBITS:
         raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
-    keys = [(g.kind, g.param, g.diag is None, g.targets) for g in circuit.gates]
+    keys = [(g.kind, g.param, g.targets) for g in circuit.gates]
     built = {key: rotation_pairs(g, m) for key, g in dict(zip(keys, circuit.gates)).items()}
     return [built[key] for key in keys]
 
@@ -194,10 +259,17 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
 
 
 def _num_steps(circuit: GateSequence) -> int:
-    steps = [g.step for g in circuit.gates]
+    steps = [g.step for g in circuit.gates if g.param]
     if not steps or min(steps) < 0:
         raise ValueError("circuit gates carry no step provenance")
     return 1 + max(steps)
+
+
+def _undo(S: np.ndarray, gate, m: int) -> np.ndarray:
+    """The adjoint of a gate given by its matrix, on the last axis of S."""
+    if gate.diag is not None:
+        return expand_diag(m, gate.targets, gate.diag.conj()) * S
+    return apply_1q(S, gate.matrix.conj().T, gate.targets[0])
 
 
 def adjoint_gradient_ideal(
@@ -207,40 +279,37 @@ def adjoint_gradient_ideal(
 
     Equivalent to summing shifted cost evaluations gate by gate (the
     generators are involutory, so the +-pi/4 angle-shift difference is
-    the exact derivative), but computed with a single forward pass and a
-    single backward pass: O(N) gate applications instead of O(N^2).
+    the exact derivative), but computed with the fused forward pass and
+    one backward pass carrying (psi, b = U_rest^dag H |psi_out>) as one
+    (2, 2^m) array (Jones & Gacon, arXiv:2009.02823). The gates of a run
+    commute, so every term of a run is read at its end, in one product
+    with the run's table: 2 w Im <b|Z_i Z_j|psi> for an edge gate,
+    -2 Im <b|X_q psi> for a mixer. Gates without a parameter add no term.
     Returns (cost, d_gamma, d_beta).
     """
     m = circuit.num_qubits
     n = _num_steps(circuit)
-    psi = run_ideal(circuit).amplitudes
-    cost = float(np.vdot(psi, h.energies * psi).real)
-    b = h.energies * psi
-    d_gamma = np.zeros(n)
-    d_beta = np.zeros(n)
-    for gate in reversed(circuit.gates):
-        if gate.param == "gamma":
-            s = expand_diag(m, gate.targets, _ZZ_PARITY)
-            # d/dgamma term: 2 Re <b| (-i w ZZ) |psi>
-            d_gamma[gate.step] += 2.0 * gate.weight * complex(
-                np.einsum("i,i,i->", b.conj(), s, psi)
-            ).imag
-            inv = expand_diag(m, gate.targets, gate.diag.conj())
-            psi = inv * psi
-            b = inv * b
-        else:
-            q = gate.targets[0]
-            hi, lo = 1 << (m - 1 - q), 1 << q
-            b3 = b.reshape(hi, 2, lo)
-            p3 = psi.reshape(hi, 2, lo)
-            # d/dbeta term: 2 Re <b| (+i X) |psi> = -2 Im <b| X psi>
-            d_beta[gate.step] += -2.0 * complex(
-                np.einsum("aub,aub->", b3.conj(), p3[:, ::-1, :])
-            ).imag
-            Ud = gate.matrix.conj().T
-            psi = apply_1q(psi, Ud, q)
-            b = apply_1q(b, Ud, q)
-    return cost, d_gamma, d_beta
+    plan, phases = _ideal_plan(circuit), []
+    psi = _ideal_sweep(circuit, plan, phases)
+    ops, w, theta, steps = plan
+    w2, undo_angles = 2.0 * w, (-theta).tolist()
+    S = np.empty((2, psi.size), dtype=complex)  # (psi, b)
+    S[0] = psi
+    np.multiply(h.energies, psi, out=S[1])
+    cost = float(np.vdot(S[0], S[1]).real)
+    grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
+    for param, table, rows in reversed(ops):
+        if param == "gamma":
+            terms = w2[rows] * (table @ (S[1].conj() * S[0]).imag)
+            S *= phases.pop().conj()
+        elif param == "beta":
+            terms = -2.0 * (S[0][table] @ S[1].conj()).imag
+            mix(S, table, undo_angles[rows])
+        else:  # a gate without a parameter
+            S = _undo(S, table, m)
+            continue
+        np.add.at(grads[param], steps[rows], terms)
+    return cost, grads["gamma"], grads["beta"]
 
 
 def adjoint_gradient_noisy(
@@ -411,7 +480,9 @@ def output_fidelity(ideal: StateVector, noisy: DensityMatrix) -> float:
     if ideal.num_qubits != noisy.num_qubits:
         raise ValueError("state dimensions differ")
     v = ideal.amplitudes
-    f = np.vdot(v, noisy.entries @ v)
+    # elementwise: a matrix-vector product here runs on a second BLAS
+    # thread that only spins
+    f = np.einsum("i,ij,j->", v.conj(), noisy.entries, v)
     if abs(f.imag) > 1e-10:
         raise SimulationError(f"fidelity has imaginary residue {f.imag:.3e}")
     return float(f.real)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,11 +86,13 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class GateOp:
-    """A single- or two-qubit unitary gate.
+    """A single- or two-qubit unitary gate given by its matrix, checked
+    when built.
 
     diag holds the 4-entry diagonal for diagonal two-qubit gates (fast
-    path). step/param/weight/angle carry provenance for shift-rule
-    bookkeeping: which QAOA step and parameter the gate depends on.
+    path). Such a gate depends on no QAOA parameter (param ""); the QAOA
+    gates are angle records (qaoa.QaoaGate) with the same kind, targets,
+    step, diag and matrix.
     """
 
     kind: str                      # "single" | "two"
@@ -97,9 +100,7 @@ class GateOp:
     matrix: np.ndarray
     diag: np.ndarray | None = None
     step: int = -1
-    param: str = ""                # "gamma" | "beta" | ""
-    weight: float = 0.0
-    angle: float = 0.0
+    param: ClassVar[str] = ""
 
     def __post_init__(self):
         dim = {"single": 2, "two": 4}.get(self.kind)
@@ -182,14 +183,59 @@ def gate_on(psi: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
     single-qubit gate an elementwise 2x2 product (as in qsim's per-gate
     kernels, arXiv:2111.02396); any other gate raises GATE_RULE.
     """
-    if gate.diag is not None:
+    d = gate.diag
+    if d is not None:
         # diagonal first: numpy's complex product rounds by operand order
         # (fused multiply-adds), and the other order moves the last bits
-        # of every ideal state and of the CSV rows computed from them
-        return expand_diag(m, gate.targets, gate.diag) * psi
+        # of every trajectory state and of the CSV rows computed from them
+        return expand_diag(m, gate.targets, d) * psi
     if gate.kind != "single":
         raise ValueError(GATE_RULE)
     return apply_1q(psi, gate.matrix, gate.targets[0])
+
+
+@lru_cache(maxsize=128)
+def zz_parities(m: int, pairs: tuple) -> np.ndarray:
+    """The (len(pairs), 2^m) table of z_i z_j = +-1 over all basis indices,
+    one row per qubit pair (i, j) (read-only): the generators of a run of
+    edge gates, whose phases multiply to exp(-i sum_g w_g theta_g z_i z_j)."""
+    _check_targets(m, [q for pair in pairs for q in pair])
+    zz = np.array([1.0 - 2.0 * (_bit(m, i) ^ _bit(m, j)) for i, j in pairs]).reshape(-1, 1 << m)
+    zz.setflags(write=False)
+    return zz
+
+
+@lru_cache(maxsize=128)
+def bit_flips(m: int, targets: tuple) -> np.ndarray:
+    """The (len(targets), 2^m) basis indices with the bit of qubit q
+    flipped, one row per target (q,) (read-only): psi[..., row] is X_q psi."""
+    qubits = [q for (q,) in targets]
+    _check_targets(m, qubits)
+    flips = np.arange(1 << m) ^ (1 << np.array(qubits, dtype=np.int64))[:, None]
+    flips.setflags(write=False)
+    return flips
+
+
+def mix(psi: np.ndarray, flips: np.ndarray, angles) -> None:
+    """The mixers exp(+i a X_q), one per row of bit_flips and angle a, in
+    place on the last axis (length 2^m) of psi, for any batch shape; the
+    adjoint negates the angles. Each is psi + i tan(a) X_q psi, or
+    X_q psi - i cot(a) psi when |sin a| > |cos a|, and the factors cos a or
+    i sin a left out are multiplied in once, at the end. Gathering X_q psi
+    beats arithmetic on strided views of the qubit's axis."""
+    scale = 1.0
+    for flip, a in zip(flips, angles):
+        c, s = math.cos(a), math.sin(a)
+        flipped = psi.take(flip, axis=-1)
+        if abs(c) >= abs(s):
+            flipped *= 1j * (s / c)
+            psi += flipped
+            scale *= c
+        else:
+            psi *= -1j * (c / s)
+            psi += flipped
+            scale *= 1j * s
+    psi *= scale
 
 
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -296,10 +342,10 @@ def rotation_pairs(gate: GateOp, m: int) -> np.ndarray:
     for the mixer exp(+i beta X_q), and for the edge gate
     exp(-i gamma w Z_i Z_j) the four slices (X_a P_b, Y_a Q_b) with
     {a, b} = {i, j}, P_b in (I, Z) and Q_b the other one. Any other gate
-    raises ValueError."""
-    if gate.diag is None and gate.kind != "single":
-        raise ValueError(GATE_RULE)
+    raises ValueError, a non-diagonal two-qubit one GATE_RULE."""
     if (gate.kind, gate.param) not in (("single", "beta"), ("two", "gamma")):
+        if gate.kind == "two" and gate.diag is None:
+            raise ValueError(GATE_RULE)
         raise ValueError(f"Pauli kernels take QAOA mixer and edge gates only, not {gate.kind} {gate.param!r}")
     _check_targets(m, gate.targets)
     base, offsets = _pair_offsets(m, tuple(gate.targets))

@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyqaoa import QaoaParams, WeightedGraph, build_circuit, cost_exact, make_channel, problem_hamiltonian
+from noisyqaoa import (
+    QaoaParams, WeightedGraph, build_circuit, cost_exact, landscape_argmin, make_channel, problem_hamiltonian,
+)
+from noisyqaoa.qaoa import adjoint_gradient_ideal
 
 
 def closed_form_cost(edges, m, gamma, beta, p=0.0):
@@ -83,3 +86,29 @@ def test_table1_matches_closed_form(table1, gamma, beta, p):
 def test_random_weighted_graphs_match_closed_form(m, seed, p):
     rng = np.random.default_rng(seed)
     assert_matches(random_graph(rng, m), float(rng.uniform(-np.pi, np.pi)), float(rng.uniform(-np.pi, np.pi)), p)
+
+
+@given(m=st.integers(2, 6), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_ideal_adjoint_gradient_matches_closed_form_differences(m, seed):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, m)
+    gamma, beta = (float(x) for x in rng.uniform(-np.pi, np.pi, 2))
+    _, d_gamma, d_beta = adjoint_gradient_ideal(build_circuit(graph, QaoaParams([gamma], [beta])),
+                                                problem_hamiltonian(graph))
+    h = 1e-5
+
+    def cost(g, b):
+        return closed_form_cost(graph.edges, m, g, b)
+
+    assert d_gamma[0] == pytest.approx((cost(gamma + h, beta) - cost(gamma - h, beta)) / (2 * h), abs=1e-7)
+    assert d_beta[0] == pytest.approx((cost(gamma, beta + h) - cost(gamma, beta - h)) / (2 * h), abs=1e-7)
+
+
+def test_ideal_landscape_cell_is_the_closed_form_argmin(table1):
+    # acceptance 10's ideal cell, on the same 21 x 21 grid over [0, 1]^2
+    axis = np.linspace(0.0, 1.0, 21)
+    grid = np.array([[closed_form_cost(table1.edges, table1.num_nodes, g, b) for b in axis] for g in axis])
+    ig, ib, value = landscape_argmin(table1)
+    assert (ig, ib) == np.unravel_index(np.argmin(grid), grid.shape)
+    assert value == pytest.approx(grid.min(), abs=1e-12)
