@@ -49,7 +49,6 @@ from .gradopt import (
     sampled_evaluator,
     cost_and_gradient,
     shifted_evaluation_gradient,
-    shift_rule_gradient,
     finite_difference_gradient,
     gradient_descent,
     random_init,

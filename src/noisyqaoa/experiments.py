@@ -25,17 +25,17 @@ import numpy as np
 from ._version import __version__
 from .gradopt import (
     OptimizationTrace,
+    cost_and_gradient,
     exact_noisy_evaluator,
     gradient_descent,
     ideal_evaluator,
     param_distance,
     random_init,
     sampled_evaluator,
-    shift_rule_gradient,
 )
 from .maxcut import WeightedGraph, load_graph as resolve_graph, problem_hamiltonian
 from .noise import KINDS, make_channel, noise_grid
-from .qaoa import QaoaParams, build_circuit, cost_exact, cost_sampled, output_fidelity, run_exact_noisy, run_ideal
+from .qaoa import QaoaParams, build_circuit, cost_exact, output_fidelity, run_exact_noisy, run_ideal
 
 THREADS_ENV_VAR = "NOISYQAOA_THREADS"
 
@@ -248,17 +248,23 @@ def landscape_argmin(
     return best
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    return asdict(config)
-
-
 def _base_metadata(config: ExperimentConfig, experiment: str) -> dict:
     return {
         "experiment": experiment,
-        "config": _config_echo(config),
+        "config": asdict(config),
         "seed": config.seed,
         "tool_version": __version__,
     }
+
+
+def _noisy_evaluator(graph: WeightedGraph, kind: str, p: float, mode: str, shots: int,
+                     seed: int, *tail):
+    """The mode's noisy cost evaluator at strength p: exact, or sampled
+    from the substream (seed, _STREAM_SAMPLED, *tail)."""
+    channel = make_channel(kind, p)
+    if mode == "sampled":
+        return sampled_evaluator(graph, channel, shots, np.random.default_rng([seed, _STREAM_SAMPLED, *tail]))
+    return exact_noisy_evaluator(graph, channel)
 
 
 def _descend(graph: WeightedGraph, init: QaoaParams, evaluator, learning_rate: float,
@@ -355,6 +361,7 @@ def run_cost_experiment(config: ExperimentConfig, params_by_n: dict | None = Non
     fits = {}
     intercepts = {}
     half_width = 0.5 * ci_cost(config.shots, graph)
+    ci_half = half_width if config.mode == "sampled" else 0.0
     for n in config.steps:
         params = params_by_n[n]
         circuit = build_circuit(graph, params)
@@ -362,14 +369,8 @@ def run_cost_experiment(config: ExperimentConfig, params_by_n: dict | None = Non
         N = n * (E + m)
         series = []
         for p_idx, p in enumerate(config.p_values):
-            channel = make_channel(config.channel, p)
-            if config.mode == "sampled":
-                rng = np.random.default_rng([config.seed, _STREAM_SAMPLED, n, p_idx])
-                f_noise, _ = cost_sampled(circuit, h, channel, config.shots, rng)
-                ci_half = half_width
-            else:
-                f_noise = cost_exact(circuit, h, channel)
-                ci_half = 0.0
+            f_noise = _noisy_evaluator(graph, config.channel, p, config.mode, config.shots,
+                                       config.seed, n, p_idx)(circuit)
             valid = abs(f_ideal) > 1e-9
             y = f_noise / f_ideal if valid else math.nan
             rows.append((p, n, N, f_noise, f_ideal, y, int(valid), ci_half))
@@ -430,7 +431,7 @@ def run_gradient_experiment(
         params = max_gradient_params(config, graph, max(config.steps))
     n = params.n
     N = n * (E + m)
-    ideal_grad = shift_rule_gradient(graph, params, ideal_evaluator(graph))
+    ideal_grad = cost_and_gradient(graph, params, ideal_evaluator(graph))[1]
     param_ids = [f"gamma{k}" for k in range(n)] + [f"beta{k}" for k in range(n)]
     ideal_flat = ideal_grad.flat()
     l_gamma, l_beta = ci_gradient(config.shots, graph, m)
@@ -440,13 +441,8 @@ def run_gradient_experiment(
     cosines = {}
     ratios_by_param = {pid: [] for pid in param_ids}
     for p_idx, p in enumerate(config.p_values):
-        channel = make_channel(config.channel, p)
-        if config.mode == "sampled":
-            rng = np.random.default_rng([config.seed, _STREAM_SAMPLED, p_idx])
-            evaluator = sampled_evaluator(graph, channel, config.shots, rng)
-        else:
-            evaluator = exact_noisy_evaluator(graph, channel)
-        noisy_flat = shift_rule_gradient(graph, params, evaluator).flat()
+        evaluator = _noisy_evaluator(graph, config.channel, p, config.mode, config.shots, config.seed, p_idx)
+        noisy_flat = cost_and_gradient(graph, params, evaluator)[1].flat()
         denom = float(np.linalg.norm(ideal_flat) * np.linalg.norm(noisy_flat))
         cosines[p] = float(ideal_flat @ noisy_flat / denom) if denom > 0 else math.nan
         for pid, di, dn in zip(param_ids, ideal_flat, noisy_flat):
@@ -485,12 +481,7 @@ def _optimization_cell(args) -> tuple:
     """One noisy descent for a (n, p) grid cell (process-pool worker)."""
     graph, channel_kind, p, init_gamma, init_beta, lr, iters, mode, shots, seed, n_idx, p_idx = args
     init = QaoaParams(np.asarray(init_gamma), np.asarray(init_beta))
-    channel = make_channel(channel_kind, p)
-    if mode == "sampled":
-        rng = np.random.default_rng([seed, _STREAM_SAMPLED, n_idx, p_idx])
-        evaluator = sampled_evaluator(graph, channel, shots, rng)
-    else:
-        evaluator = exact_noisy_evaluator(graph, channel)
+    evaluator = _noisy_evaluator(graph, channel_kind, p, mode, shots, seed, n_idx, p_idx)
     trace = _descend(graph, init, evaluator, lr, iters)
     return trace.final_params.gamma, trace.final_params.beta, trace.final_cost
 

@@ -34,7 +34,9 @@ from .qaoa import (
 )
 from .statevector import SimulationError
 
-# not typing.Callable: typing's cache of subscripted aliases kept every
+# An evaluator maps a circuit to its cost; one with an adjoint(circuit)
+# method, returning (cost, d_gamma, d_beta), gives its gradient from that.
+# Not typing.Callable: typing's cache of subscripted aliases kept every
 # imported copy of this package alive, with its module-level caches
 Evaluator = Callable[[GateSequence], float]
 
@@ -94,104 +96,80 @@ class IdealEvaluator:
     """Exact noiseless cost of a circuit on this graph's Hamiltonian."""
 
     def __init__(self, graph: WeightedGraph):
-        self.graph = graph
         self.hamiltonian = problem_hamiltonian(graph)
 
     def __call__(self, seq: GateSequence) -> float:
         return cost_exact(seq, self.hamiltonian)
+
+    def adjoint(self, seq: GateSequence) -> tuple[float, np.ndarray, np.ndarray]:
+        """(cost, d_gamma, d_beta) from one pure-state adjoint sweep."""
+        return adjoint_gradient_ideal(seq, self.hamiltonian)
 
 
 class ExactNoisyEvaluator:
     """Exact density-matrix noisy cost."""
 
     def __init__(self, graph: WeightedGraph, channel: NoiseChannel):
-        self.graph = graph
         self.channel = channel
         self.hamiltonian = problem_hamiltonian(graph)
 
     def __call__(self, seq: GateSequence) -> float:
         return cost_exact(seq, self.hamiltonian, self.channel)
 
-
-class SampledEvaluator:
-    """Shot-based trajectory cost estimate (consumes the rng stream)."""
-
-    def __init__(self, graph: WeightedGraph, channel: NoiseChannel, shots: int, rng):
-        self.graph = graph
-        self.channel = channel
-        self.shots = shots
-        self.rng = rng
-        self.hamiltonian = problem_hamiltonian(graph)
-
-    def __call__(self, seq: GateSequence) -> float:
-        return cost_sampled(seq, self.hamiltonian, self.channel, self.shots, self.rng)[0]
+    def adjoint(self, seq: GateSequence) -> tuple[float, np.ndarray, np.ndarray]:
+        """(cost, d_gamma, d_beta) from one Pauli-transfer adjoint sweep."""
+        return adjoint_gradient_noisy(seq, self.hamiltonian, self.channel)
 
 
-def ideal_evaluator(graph: WeightedGraph) -> IdealEvaluator:
-    return IdealEvaluator(graph)
+ideal_evaluator = IdealEvaluator
+exact_noisy_evaluator = ExactNoisyEvaluator
 
 
-def exact_noisy_evaluator(graph: WeightedGraph, channel: NoiseChannel) -> ExactNoisyEvaluator:
-    return ExactNoisyEvaluator(graph, channel)
+def sampled_evaluator(graph: WeightedGraph, channel: NoiseChannel, shots: int, rng) -> Evaluator:
+    """Shot-based trajectory cost estimate; every call draws from rng."""
+    h = problem_hamiltonian(graph)
+    return lambda seq: cost_sampled(seq, h, channel, shots, rng)[0]
 
 
-def sampled_evaluator(
-    graph: WeightedGraph, channel: NoiseChannel, shots: int, rng
-) -> SampledEvaluator:
-    return SampledEvaluator(graph, channel, shots, rng)
+def _shifted_gradient(seq: GateSequence, n: int, evaluator: Evaluator) -> Gradient:
+    """The per-gate shift-rule sum over the gates of seq, a + then a -
+    shifted evaluation per gate, in gate order. A mixer is the weight-1
+    case of the edge rule C * [f(+pi/(4C)) - f(-pi/(4C))]."""
+    grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
+    for idx, gate in enumerate(seq.gates):
+        shift = math.pi / (4.0 * gate.weight)
+        f_plus = evaluator(with_shifted_gate(seq, idx, +shift))
+        f_minus = evaluator(with_shifted_gate(seq, idx, -shift))
+        grads[gate.param][gate.step] += gate.weight * (f_plus - f_minus)
+    return Gradient(grads["gamma"], grads["beta"])
 
 
 def shifted_evaluation_gradient(
     graph: WeightedGraph, params: QaoaParams, evaluator: Evaluator
 ) -> Gradient:
     """Per-gate shift-rule gradient built from 2N shifted cost evaluations."""
-    seq = build_circuit(graph, params)
-    d_gamma = np.zeros(params.n)
-    d_beta = np.zeros(params.n)
-    for idx, gate in enumerate(seq.gates):
-        if gate.param == "gamma":
-            shift = math.pi / (4.0 * gate.weight)
-            f_plus = evaluator(with_shifted_gate(seq, idx, +shift))
-            f_minus = evaluator(with_shifted_gate(seq, idx, -shift))
-            d_gamma[gate.step] += gate.weight * (f_plus - f_minus)
-        else:
-            f_plus = evaluator(with_shifted_gate(seq, idx, +math.pi / 4.0))
-            f_minus = evaluator(with_shifted_gate(seq, idx, -math.pi / 4.0))
-            d_beta[gate.step] += f_plus - f_minus
-    return Gradient(d_gamma, d_beta)
+    return _shifted_gradient(build_circuit(graph, params), params.n, evaluator)
 
 
 def cost_and_gradient(
     graph: WeightedGraph, params: QaoaParams, evaluator: Evaluator
 ) -> tuple[float, Gradient]:
-    """Cost and shift-rule gradient, sharing work when the evaluator allows.
+    """Cost and per-gate shift-rule gradient under the evaluator.
 
-    For the two exact evaluators the gradient is computed by a
-    forward/backward adjoint sweep; this equals the shifted-evaluation
-    sum exactly (the generators are involutory, so the angle-shift
-    difference is the analytic derivative) at O(N) instead of O(N^2)
-    gate cost. Stochastic or user-supplied evaluators take the generic
-    shifted-evaluation path.
+    An evaluator with an `adjoint` method (the two exact ones) answers
+    both from one forward/backward sweep; this equals the shifted-
+    evaluation sum exactly (the generators are involutory, so the
+    angle-shift difference is the analytic derivative) at O(N) instead
+    of O(N^2) gate cost. Any other evaluator, a sampled one or a plain
+    callable, gives the cost and then 2N shifted evaluations.
     """
-    if isinstance(evaluator, IdealEvaluator):
-        cost, dg, db = adjoint_gradient_ideal(
-            build_circuit(graph, params), evaluator.hamiltonian
-        )
+    seq = build_circuit(graph, params)
+    adjoint = getattr(evaluator, "adjoint", None)
+    if adjoint is not None:
+        cost, dg, db = adjoint(seq)
         return cost, Gradient(dg, db)
-    if isinstance(evaluator, ExactNoisyEvaluator):
-        cost, dg, db = adjoint_gradient_noisy(
-            build_circuit(graph, params), evaluator.hamiltonian, evaluator.channel
-        )
-        return cost, Gradient(dg, db)
-    cost = evaluator(build_circuit(graph, params))
-    return cost, shifted_evaluation_gradient(graph, params, evaluator)
-
-
-def shift_rule_gradient(
-    graph: WeightedGraph, params: QaoaParams, evaluator: Evaluator
-) -> Gradient:
-    """Per-gate shift-rule gradient under the given cost evaluator."""
-    return cost_and_gradient(graph, params, evaluator)[1]
+    cost = evaluator(seq)
+    return cost, _shifted_gradient(seq, params.n, evaluator)
 
 
 def finite_difference_gradient(
@@ -231,14 +209,12 @@ def gradient_descent(
     learning_rate: float,
     num_iters: int,
     grad_tol: float = 0.0,
-    convergence_tol: float = 1e-4,
 ) -> OptimizationTrace:
     """Vanilla gradient descent: theta <- theta - lr * grad f.
 
     Runs for num_iters updates, stopping early only when the gradient
     norm falls below grad_tol (0 disables early stopping). The converged
-    flag reports whether the final gradient norm is below
-    convergence_tol.
+    flag reports whether the final gradient norm is below 1e-4.
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
@@ -265,7 +241,7 @@ def gradient_descent(
         cost, grad = cost_and_gradient(graph, params, evaluator)
         grad_norm = grad.norm()
         records.append(IterationRecord(params, cost, grad_norm))
-    return OptimizationTrace(records, learning_rate, grad_norm < convergence_tol)
+    return OptimizationTrace(records, learning_rate, grad_norm < 1e-4)
 
 
 def random_init(n: int, rng) -> QaoaParams:

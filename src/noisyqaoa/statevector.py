@@ -27,7 +27,6 @@ from .noise import NoiseChannel
 
 MAX_PURE_QUBITS = 24
 MAX_DENSE_QUBITS = 12
-NORM_TOL = 1e-10
 GATE_RULE = "gate kernels take single-qubit and diagonal two-qubit gates only"
 
 
@@ -157,16 +156,15 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(m, gate_on(state.amplitudes, gate, m))
 
 
-def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int, out: np.ndarray | None = None) -> np.ndarray:
-    """M acting on one bit of the flat (C-order) index of arr.
+def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
+    """M acting on one bit of the flat (C-order) index of arr, as a new array.
 
     Elementwise, with no BLAS call: a gemm on a 2x2 or 4x4 operator is
     slower than the arithmetic it does once its second thread has to
-    wait for a shared CPU. The result goes to `out` (C-contiguous, the
-    size of arr, not arr itself) when given, else to a new array.
+    wait for a shared CPU.
     """
     t = arr.reshape(-1, 2, 1 << bit)
-    out = np.empty_like(t) if out is None else out.reshape(t.shape)
+    out = np.empty_like(t)
     a, b = t[:, 0], t[:, 1]
     tmp = np.empty(a.shape, dtype=out.dtype)
     for i in (0, 1):
@@ -241,18 +239,14 @@ def mix(psi: np.ndarray, flips: np.ndarray, angles) -> None:
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def apply_superop_1q(
-    rho: np.ndarray, S: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.ndarray:
     """Apply a 4x4 superoperator to one qubit of a 2^m x 2^m matrix rho.
 
     Elementwise over the four (row bit, col bit) blocks of rho, skipping
-    zero entries of S, with no BLAS call. The result goes to `out`
-    (C-contiguous, the shape of rho, not rho itself) when given, else to
-    a new array.
+    zero entries of S, with no BLAS call; the result is a new array.
     """
     hi, lo = 1 << (m - 1 - qubit), 1 << qubit
-    out = np.empty(rho.shape, dtype=complex) if out is None else out
+    out = np.empty(rho.shape, dtype=complex)
     t = rho.reshape(hi, 2, lo * hi, 2, lo)
     blocks = [t[:, u, :, v] for u, v in _BIT_PAIRS]
     o4 = out.reshape(t.shape)
@@ -274,18 +268,14 @@ def apply_superop_1q(
 # name until its refresh (ROADMAP item 1) frees them
 
 
-def mul_left_1q(
-    arr: np.ndarray, M: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def mul_left_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
     """M acting on the row index of a 2^m x 2^m array at one qubit."""
-    return apply_1q(arr, M, qubit + m, out)
+    return apply_1q(arr, M, qubit + m)
 
 
-def mul_right_1q(
-    arr: np.ndarray, M: np.ndarray, qubit: int, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def mul_right_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
     """out_rc = sum_c' arr_rc' M_c'c with M acting on one qubit of the column."""
-    return apply_1q(arr, M.T, qubit, out)
+    return apply_1q(arr, M.T, qubit)
 
 
 def apply_kraus_exact(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> DensityMatrix:

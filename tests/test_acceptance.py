@@ -17,6 +17,7 @@ from noisyqaoa import (
     build_circuit,
     ci_cost,
     ci_gradient,
+    cost_and_gradient,
     cost_exact,
     finite_difference_gradient,
     ideal_evaluator,
@@ -29,7 +30,6 @@ from noisyqaoa import (
     run_fidelity_experiment,
     run_gradient_experiment,
     run_optimization_experiment,
-    shift_rule_gradient,
     table1_graph,
     trajectory_states,
     validate_cptp,
@@ -91,7 +91,7 @@ def test_03_shift_rule_vs_finite_difference(report, graph):
     for n in (1, 2, 3, 4):
         for _ in range(5):
             params = QaoaParams(rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n))
-            sr = shift_rule_gradient(graph, params, ev).flat()
+            sr = cost_and_gradient(graph, params, ev)[1].flat()
             fd = finite_difference_gradient(graph, params, 1e-5).flat()
             worst = max(worst, float(np.abs(sr - fd).max()))
     passed = worst < 1e-6

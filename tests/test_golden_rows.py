@@ -3,9 +3,9 @@ recorded once from an earlier tree, so that a change meant to leave the
 numbers alone shows when it does not.
 
 Exact-mode float columns must agree within 1e-12, every other column
-exactly: counts, labels and flags, and the sampled cost estimate, which
-is a sum of shot counts. The ideal descents must stop at the recorded
-iteration.
+exactly: counts, labels and flags, and the sampled estimates (the cost,
+the derivative and the descent's final cost), which are sums of shot
+counts. The ideal descents must stop at the recorded iteration.
 
 To record the rows afresh (only for a change that means to move them):
 
@@ -36,7 +36,17 @@ EXACT = {
     "gradient": run_gradient_experiment,
     "optimization": run_optimization_experiment,
 }
-SAMPLED_ESTIMATE = "f_noise"  # of the sampled cost table
+# the column of shot-count estimates in each sampled table
+SAMPLED_ESTIMATE = {"sampled-cost": "f_noise", "sampled-gradient": "d_noise",
+                    "sampled-optimization": "noisy_cost"}
+# the sampled gradient and optimization drivers, one channel each (sized
+# to run in about a second)
+SAMPLED_DRIVERS = {
+    "sampled-gradient/depolarizing": (run_gradient_experiment, dict(
+        channel="depolarizing", p_values=(0.0, 0.01, 0.05), num_iters=100)),
+    "sampled-optimization/bitflip": (run_optimization_experiment, dict(
+        channel="bitflip", p_values=(0.0, 0.02), num_iters=2)),
+}
 TOL = 1e-12
 
 
@@ -54,6 +64,9 @@ def golden_tables() -> dict:
             out[f"{name}/{channel}"] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
         table = run_cost_experiment(config(channel, mode="sampled", shots=200))
         out[f"sampled-cost/{channel}"] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
+    for name, (run, kw) in SAMPLED_DRIVERS.items():
+        table = run(ExperimentConfig(steps=(1,), mode="sampled", shots=20, threads=1, **kw))
+        out[name] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
     cfg = config(CHANNELS[0])
     out["ideal_descent_iterations"] = {
         str(n): len(_ideal_descent(cfg, table1_graph(), n)[1].iterations) for n in cfg.steps
@@ -79,15 +92,17 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("table", [f"{name}/{ch}" for ch in CHANNELS for name in (*EXACT, "sampled-cost")])
+@pytest.mark.parametrize(
+    "table", [f"{name}/{ch}" for ch in CHANNELS for name in (*EXACT, "sampled-cost")] + list(SAMPLED_DRIVERS)
+)
 def test_rows_match_golden(table, current, golden):
     want, got = golden[table], current[table]
     assert got["columns"] == want["columns"]
     assert len(got["rows"]) == len(want["rows"])
-    sampled = table.startswith("sampled")
+    estimate = SAMPLED_ESTIMATE.get(table.split("/")[0])
     for r, (row, ref) in enumerate(zip(got["rows"], want["rows"])):
         for col, a, b in zip(want["columns"], row, ref):
-            tol = 0.0 if sampled and col == SAMPLED_ESTIMATE else TOL
+            tol = 0.0 if col == estimate else TOL
             assert same(a, b, tol), f"{table} row {r} column {col}: {a!r} against {b!r}"
 
 

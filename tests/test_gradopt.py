@@ -7,6 +7,7 @@ from noisyqaoa import (
     QaoaParams,
     WeightedGraph,
     brute_force_ground,
+    build_circuit,
     cost_and_gradient,
     exact_noisy_evaluator,
     finite_difference_gradient,
@@ -16,7 +17,6 @@ from noisyqaoa import (
     param_distance,
     random_init,
     sampled_evaluator,
-    shift_rule_gradient,
     shifted_evaluation_gradient,
 )
 from noisyqaoa.gradopt import Gradient
@@ -50,7 +50,7 @@ class TestShiftRuleVsFiniteDifference:
         ev = ideal_evaluator(table1)
         for _ in range(5):
             params = random_params(n, rng)
-            sr = shift_rule_gradient(table1, params, ev).flat()
+            sr = cost_and_gradient(table1, params, ev)[1].flat()
             fd = finite_difference_gradient(table1, params, 1e-5).flat()
             assert np.abs(sr - fd).max() < 1e-6
 
@@ -59,20 +59,20 @@ class TestShiftRuleVsFiniteDifference:
         channel = make_channel("depolarizing", 0.01)
         ev = exact_noisy_evaluator(table1, channel)
         params = random_params(2, rng)
-        sr = shift_rule_gradient(table1, params, ev).flat()
+        sr = cost_and_gradient(table1, params, ev)[1].flat()
         fd = finite_difference_gradient(table1, params, 1e-5, evaluator=ev).flat()
         assert np.abs(sr - fd).max() < 1e-6
 
     def test_negative_weights(self):
         rng = np.random.default_rng(7)
         params = random_params(2, rng)
-        sr = shift_rule_gradient(NEG_WEIGHT_GRAPH, params, ideal_evaluator(NEG_WEIGHT_GRAPH)).flat()
+        sr = cost_and_gradient(NEG_WEIGHT_GRAPH, params, ideal_evaluator(NEG_WEIGHT_GRAPH))[1].flat()
         fd = finite_difference_gradient(NEG_WEIGHT_GRAPH, params, 1e-5).flat()
         assert np.abs(sr - fd).max() < 1e-6
 
     def test_fd_error_shrinks_quadratically(self, table1):
         params = QaoaParams([0.3], [0.4])
-        exact = shift_rule_gradient(table1, params, ideal_evaluator(table1)).flat()
+        exact = cost_and_gradient(table1, params, ideal_evaluator(table1))[1].flat()
         errs = [
             np.abs(finite_difference_gradient(table1, params, h).flat() - exact).max()
             for h in (1e-2, 1e-3)
@@ -92,8 +92,8 @@ class TestAdjointMatchesShiftedEvaluations:
         rng = np.random.default_rng(40 + n)
         params = random_params(n, rng)
         ev = ideal_evaluator(table1)
-        fast = shift_rule_gradient(table1, params, ev).flat()
-        # a bare lambda bypasses the isinstance dispatch
+        fast = cost_and_gradient(table1, params, ev)[1].flat()
+        # a bare lambda has no adjoint method
         literal = shifted_evaluation_gradient(table1, params, lambda s: ev(s)).flat()
         assert np.abs(fast - literal).max() < 1e-9
 
@@ -102,7 +102,7 @@ class TestAdjointMatchesShiftedEvaluations:
         rng = np.random.default_rng(77)
         params = random_params(2, rng)
         ev = exact_noisy_evaluator(NEG_WEIGHT_GRAPH, make_channel(kind, 0.03))
-        fast = shift_rule_gradient(NEG_WEIGHT_GRAPH, params, ev).flat()
+        fast = cost_and_gradient(NEG_WEIGHT_GRAPH, params, ev)[1].flat()
         literal = shifted_evaluation_gradient(NEG_WEIGHT_GRAPH, params, lambda s: ev(s)).flat()
         assert np.abs(fast - literal).max() < 1e-9
 
@@ -113,8 +113,6 @@ class TestAdjointMatchesShiftedEvaluations:
             exact_noisy_evaluator(table1, make_channel("bitflip", 0.02)),
         ):
             cost, _ = cost_and_gradient(table1, params, ev)
-            from noisyqaoa import build_circuit
-
             assert cost == pytest.approx(ev(build_circuit(table1, params)), abs=1e-12)
 
 
@@ -129,18 +127,62 @@ class TestGradientStructure:
         assert np.abs(grad.d_gamma).max() < 1e-12
 
     def test_zero_point_gradient_zero(self, table1):
-        grad = shift_rule_gradient(table1, QaoaParams([0.0], [0.0]), ideal_evaluator(table1))
+        grad = cost_and_gradient(table1, QaoaParams([0.0], [0.0]), ideal_evaluator(table1))[1]
         assert grad.norm() < 1e-12
 
     def test_sampled_evaluator_path(self, single_edge):
         channel = make_channel("depolarizing", 0.01)
         ev = sampled_evaluator(single_edge, channel, 800, np.random.default_rng(5))
         params = QaoaParams([0.5], [0.3])
-        noisy = shift_rule_gradient(single_edge, params, ev).flat()
-        exact = shift_rule_gradient(
+        noisy = cost_and_gradient(single_edge, params, ev)[1].flat()
+        exact = cost_and_gradient(
             single_edge, params, exact_noisy_evaluator(single_edge, channel)
-        ).flat()
+        )[1].flat()
         assert np.abs(noisy - exact).max() < 0.25  # statistical agreement
+
+
+class TestEvaluatorProtocol:
+    """An evaluator is a callable from circuit to cost, with an optional
+    adjoint method that cost_and_gradient prefers."""
+
+    def test_adjoint_method_is_used_when_present(self, table1):
+        class Fixed:
+            def __call__(self, seq):
+                raise AssertionError("the cost must come from adjoint")
+
+            def adjoint(self, seq):
+                return 1.5, np.array([2.0]), np.array([3.0])
+
+        cost, grad = cost_and_gradient(table1, QaoaParams([0.1], [0.2]), Fixed())
+        assert cost == 1.5 and grad.flat().tolist() == [2.0, 3.0]
+
+    def test_callable_gets_cost_then_shifts_gate_by_gate(self, single_edge):
+        # the generic path's call order fixes the order of a sampled
+        # evaluator's draws: the cost, then + and - for each gate in turn
+        seen = []
+
+        def record(seq):
+            seen.append(tuple(g.angle for g in seq.gates))
+            return 0.0
+
+        params = QaoaParams([0.5], [0.3])
+        cost_and_gradient(single_edge, params, record)
+        base = seen[0]
+        assert base == tuple(g.angle for g in build_circuit(single_edge, params).gates)
+        assert len(seen) == 1 + 2 * len(base)
+        for idx in range(len(base)):
+            plus, minus = seen[1 + 2 * idx], seen[2 + 2 * idx]
+            moved = [k for k in range(len(base)) if plus[k] != base[k] or minus[k] != base[k]]
+            assert moved == [idx] and plus[idx] > base[idx] > minus[idx]
+
+    def test_exact_evaluators_answer_with_their_adjoint(self, table1):
+        params = QaoaParams([0.2, -0.3], [0.1, 0.4])
+        seq = build_circuit(table1, params)
+        for ev in (ideal_evaluator(table1), exact_noisy_evaluator(table1, make_channel("dephasing", 0.02))):
+            cost, d_gamma, d_beta = ev.adjoint(seq)
+            got_cost, grad = cost_and_gradient(table1, params, ev)
+            assert got_cost == cost
+            assert np.array_equal(grad.d_gamma, d_gamma) and np.array_equal(grad.d_beta, d_beta)
 
 
 class TestGradientDescent:

@@ -305,21 +305,6 @@ class TestKernelHelpers:
             assert np.abs(mul_left_1q(arr, M, q, m) - full @ arr).max() < 1e-13
             assert np.abs(mul_right_1q(arr, M, q, m) - arr @ full).max() < 1e-13
 
-    def test_out_buffer_holds_the_same_result(self, rng):
-        m = 3
-        rho = random_state(m, rng).projector().entries
-        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        buf = np.empty((2, 8, 8), dtype=complex)
-        for q in range(m):
-            S = make_channel("depolarizing", 0.3).superop
-            out = apply_superop_1q(rho, S, q, m, out=buf[1])
-            assert np.shares_memory(out, buf[1])
-            assert np.array_equal(out, apply_superop_1q(rho, S, q, m))
-            for kernel in (mul_left_1q, mul_right_1q):
-                out = kernel(rho, M, q, m, out=buf[1])
-                assert np.shares_memory(out, buf[1])
-                assert np.array_equal(out, kernel(rho, M, q, m))
-
 
 class TestPauliTransferKernels:
     """The Pauli-coefficient kernels against kron-lifted dense operators."""
