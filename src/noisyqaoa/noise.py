@@ -23,8 +23,10 @@ KINDS = ("dephasing", "bitflip", "depolarizing", "custom")
 class NoiseChannel:
     """A single-qubit channel given by a list of 2x2 Kraus operators.
 
-    Immutable after construction; the Kraus tuple is stored in full so
-    that zero operators at p=0 keep the code paths uniform.
+    Immutable after construction, apart from the values derived from the
+    Kraus operators on first use (the cached properties and the
+    ptm_scales of each register size); the Kraus tuple is stored in full
+    so that zero operators at p=0 keep the code paths uniform.
     """
 
     kind: str
@@ -62,6 +64,26 @@ class NoiseChannel:
         images = sum(K @ _PAULIS @ K.conj().T for K in self.kraus)
         R = 0.5 * np.einsum("pab,qba->pq", _PAULIS, images)
         return np.ascontiguousarray(R.real)
+
+    @cached_property
+    def _ptm_scales_by_size(self) -> dict:
+        return {}
+
+    def ptm_scales(self, m: int) -> list | None:
+        """For a Pauli channel (a diagonal ptm R, its own adjoint), the m
+        vectors diag(R)[(S >> 2q) & 3] over the even-sector flat indices
+        S = statevector.even_sector(m), whose product with the even-sector
+        coefficients applies R on qubit q; else None. Built once per m."""
+        cache = self._ptm_scales_by_size
+        if m not in cache:
+            from .statevector import even_sector  # statevector imports this module
+
+            d = np.diag(self.ptm)
+            cache[m] = None
+            if not np.any(self.ptm - np.diag(d)):
+                S = even_sector(m)
+                cache[m] = [d[(S >> 2 * q) & 3] for q in range(m)]
+        return cache[m]
 
     @cached_property
     def unitary_mixture(self) -> tuple | None:

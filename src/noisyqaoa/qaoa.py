@@ -16,6 +16,10 @@ qubit's axis and every gate a set of real rotations between coefficient
 pairs, by the angle phi = 2 w theta. One forward sweep serves the noisy
 cost, which reads the Z_i Z_j coefficients, the density matrix of
 run_exact_noisy, converted once at the end, and the adjoint gradient.
+For a Pauli channel the sweep holds only the even sector (see
+statevector), the half of the coefficients that the global bit flip,
+the Z2 symmetry of Max-Cut QAOA, leaves nonzero; any other channel
+keeps all 4^m.
 """
 
 from __future__ import annotations
@@ -40,15 +44,16 @@ from .statevector import (
     apply_gate,
     apply_ptm,
     bit_flips,
+    even_sector,
     expand_diag,
     gate_on,
     mix,
     pauli_to_density,
     plus_state,
-    ptm_scales,
     rotate_pairs,
     rotation_pairs,
     sample_kraus,
+    sector_position,
     zz_parities,
 )
 
@@ -201,8 +206,9 @@ def run_ideal(circuit: GateSequence) -> StateVector:
 
 def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | None, targets) -> tuple:
     """(result, spare buffer) of the transfer matrix R on each target: in
-    place for a Pauli channel (scales = ptm_scales(R)), else via spare.
-    Channels on different qubits commute, so the adjoint keeps the order."""
+    place on the even sector for a Pauli channel (scales =
+    NoiseChannel.ptm_scales), else via spare. Channels on different qubits
+    commute, so the adjoint keeps the order."""
     for q in targets:
         if scales is None:
             r, spare = apply_ptm(r, R, q, spare), r
@@ -211,43 +217,57 @@ def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | 
     return r, spare
 
 
-def _gate_pairs(circuit: GateSequence) -> list:
+def _gate_pairs(circuit: GateSequence, sector: bool) -> list:
     """rotation_pairs of every gate, built once for all the gates of one
     kind on the same qubits (every step repeats them)."""
     m = circuit.num_qubits
-    if m > MAX_DENSE_QUBITS:
-        raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
     keys = [(g.kind, g.param, g.targets) for g in circuit.gates]
-    built = {key: rotation_pairs(g, m) for key, g in dict(zip(keys, circuit.gates)).items()}
+    built = {key: rotation_pairs(g, m, sector) for key, g in dict(zip(keys, circuit.gates)).items()}
     return [built[key] for key in keys]
 
 
-def _noisy_sweep(
-    circuit: GateSequence, channel: NoiseChannel, pairs: list, sigmas: np.ndarray | None = None
-) -> np.ndarray:
-    """Pauli coefficients of the noisy output of |+>^m, with the channel
-    after every gate on each qubit it touches; pairs is _gate_pairs(circuit).
-    The one forward pass of run_exact_noisy, cost_exact and
-    adjoint_gradient_noisy: sigmas[k], when given, receives the values of
-    gate k's pairs after the gate and before its channels."""
+class _Sweep(NamedTuple):
+    """A forward sweep: the coefficients r, the channel's scales (None for
+    a channel that keeps all 4^m coefficients, else r is the even sector),
+    the pairs of every gate in r's layout and, if stored, the sigmas."""
+
+    r: np.ndarray
+    scales: list | None
+    pairs: list
+    sigmas: np.ndarray | None
+
+    def zz_terms(self, h: ProblemHamiltonian) -> list:
+        """(index in r of the Z_i Z_j coefficient, C_ij) per term: <H_p>
+        is sum_ij C_ij r_(Z_i Z_j)."""
+        position = int if self.scales is None else sector_position
+        return [(position(3 * (4 ** i + 4 ** j)), w) for i, j, w in h.terms]
+
+    def cost(self, h: ProblemHamiltonian) -> float:
+        return float(sum(w * self.r[k] for k, w in self.zz_terms(h)))
+
+
+def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = False) -> _Sweep:
+    """Pauli coefficients r of the noisy output of |+>^m, with the channel
+    after every gate on each qubit it touches: the 4^m / 2 of the even
+    sector for a Pauli channel, else all 4^m. The one forward pass of
+    run_exact_noisy, cost_exact and adjoint_gradient_noisy; sigmas[k], when
+    store is set, holds the values of gate k's pairs after the gate and
+    before its channels."""
     m = circuit.num_qubits
-    R = channel.ptm
-    scales = ptm_scales(R, m)
-    r = np.zeros((4,) * m)
+    if m > MAX_DENSE_QUBITS:  # before any 4^m array, the scales' included
+        raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
+    R, scales = channel.ptm, channel.ptm_scales(m)
+    pairs = _gate_pairs(circuit, scales is not None)
+    r = np.zeros((4,) * (m - 1) + (4 if scales is None else 2,))  # the sector drops qubit 0's Y/Z bit
     r[(slice(0, 2),) * m] = 1.0  # |+>^m
-    r, spare = r.reshape(-1), np.empty(4 ** m)
+    r, spare = r.reshape(-1), np.empty(r.size)
+    sigmas = np.empty((len(pairs), 2, r.size // 4)) if store else None
     for k, (gate, idx) in enumerate(zip(circuit.gates, pairs)):
         rotated = rotate_pairs(r, idx, 2.0 * gate.weight * gate.angle)
-        if sigmas is not None:
+        if store:
             sigmas[k] = rotated
         r, spare = _channel_on(r, spare, R, scales, gate.targets)
-    return r
-
-
-def _zz_terms(h: ProblemHamiltonian) -> list:
-    """(flat index of the Z_i Z_j coefficient, C_ij) per term: <H_p> is
-    sum_ij C_ij r_(Z_i Z_j)."""
-    return [(3 * (4 ** i + 4 ** j), w) for i, j, w in h.terms]
+    return _Sweep(r, scales, pairs, sigmas)
 
 
 def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
@@ -255,7 +275,10 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
     on each qubit the gate touches; the Pauli coefficients (see
     statevector) become the density matrix once, at the end."""
     m = circuit.num_qubits
-    return DensityMatrix(m, pauli_to_density(_noisy_sweep(circuit, channel, _gate_pairs(circuit)), m))
+    r, scales = _noisy_sweep(circuit, channel)[:2]
+    if scales is not None:  # the even sector, scattered back
+        r = np.bincount(even_sector(m), r, 4 ** m)
+    return DensityMatrix(m, pauli_to_density(r, m))
 
 
 def _num_steps(circuit: GateSequence) -> int:
@@ -329,17 +352,12 @@ def adjoint_gradient_noisy(
     shifted-evaluation construction to rounding. Returns (cost, d_gamma,
     d_beta).
     """
-    m = circuit.num_qubits
     n = _num_steps(circuit)
-    pairs = _gate_pairs(circuit)
-    sigmas = np.empty((len(circuit.gates), 2, 4 ** (m - 1)))  # 4^(m-1) pairs per gate
-    r = _noisy_sweep(circuit, channel, pairs, sigmas)
-    R_adj = channel.ptm.T
-    scales = ptm_scales(R_adj, m)
-    terms = _zz_terms(h)
-    cost = float(sum(w * r[k] for k, w in terms))
-    e, spare = np.zeros(4 ** m), np.empty(4 ** m)
-    for k, w in terms:
+    sweep = _noisy_sweep(circuit, channel, store=True)
+    r, scales, pairs, sigmas = sweep
+    R_adj = channel.ptm.T  # scales serve as their own adjoint
+    e, spare = np.zeros(r.size), np.empty(r.size)
+    for k, w in sweep.zz_terms(h):
         e[k] += w
     grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
     for gate, idx, sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
@@ -348,7 +366,7 @@ def adjoint_gradient_noisy(
         term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
         grads[gate.param][gate.step] += 2.0 * gate.weight * term
         rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, E)
-    return cost, grads["gamma"], grads["beta"]
+    return sweep.cost(h), grads["gamma"], grads["beta"]
 
 
 def run_trajectory(circuit: GateSequence, channel: NoiseChannel, rng) -> StateVector:
@@ -494,8 +512,7 @@ def cost_exact(
     """<H_p> of the circuit output: ideal, or exact-noisy if given a channel."""
     if channel is None:
         return exact_expectation(run_ideal(circuit), h)
-    r = _noisy_sweep(circuit, channel, _gate_pairs(circuit))
-    return float(sum(w * r[k] for k, w in _zz_terms(h)))
+    return _noisy_sweep(circuit, channel).cost(h)
 
 
 def cost_sampled(

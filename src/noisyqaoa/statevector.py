@@ -12,6 +12,13 @@ transfer matrix on one axis (NoiseChannel.ptm), a QAOA gate a set of
 real rotations between coefficient pairs, and an observable
 O = sum_P o_P P, with Tr(O rho) = o . r, goes back through both
 transposed.
+
+A Pauli channel (diagonal transfer matrix) and the QAOA gates keep the
+parity of a string's count of Y/Z digits, and |+>^m is even, so the
+odd coefficients stay zero. The noisy sweep then holds only the even
+sector, 4^m / 2 coefficients in ascending flat order: flat index f sits
+at sector_position(f) = 2 (f >> 2) + (f & 1), and even_sector(m) maps
+back.
 """
 
 from __future__ import annotations
@@ -285,13 +292,25 @@ def apply_kraus_exact(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> 
     return DensityMatrix(m, apply_superop_1q(rho.entries, channel.superop, qubit, m))
 
 
-def ptm_scales(R: np.ndarray, m: int) -> list | None:
-    """For a diagonal transfer matrix R (a Pauli channel, its own adjoint),
-    the length-4^m vectors whose product with r applies R on qubit q, for
-    each q; else None."""
-    if np.any(R - np.diag(np.diag(R))):
-        return None
-    return [np.tile(np.repeat(np.diag(R), 4 ** q), 4 ** (m - 1 - q)) for q in range(m)]
+def _odd(f: np.ndarray, m: int) -> np.ndarray:
+    """1 where flat index f's m digits hold an odd count of Y/Z, else 0."""
+    odd = np.zeros_like(f)
+    for q in range(m):
+        odd ^= (f >> (2 * q + 1)) & 1
+    return odd
+
+
+def sector_position(f):
+    """Position of even-sector flat index f: its bits without qubit 0's Y/Z
+    bit, which the others fix. Additive over disjoint nonzero digits."""
+    return 2 * (f >> 2) + (f & 1)
+
+
+def even_sector(m: int) -> np.ndarray:
+    """The flat index at each sector position c: 4 (c >> 1) + (c & 1)
+    + 2 * (the Y/Z parity of c >> 1)."""
+    rest = np.arange(4 ** (m - 1))
+    return ((4 * rest + 2 * _odd(rest, m - 1))[:, None] + np.arange(2)).ravel()
 
 
 def apply_ptm(r: np.ndarray, R: np.ndarray, qubit: int, out: np.ndarray) -> np.ndarray:
@@ -308,38 +327,51 @@ def apply_ptm(r: np.ndarray, R: np.ndarray, qubit: int, out: np.ndarray) -> np.n
 
 
 @lru_cache(maxsize=128)
-def _pair_offsets(m: int, targets: tuple) -> tuple[np.ndarray, tuple]:
-    """The flat indices whose digits at the targets are 0, and the (2, K)
-    offsets from them of the K slices of A sides and of B sides. Only
-    these are cached, not the 4 or 8 times larger pair indices: a module
-    cache lives as long as the module."""
+def _pair_offsets(m: int, targets: tuple, sector: bool) -> tuple:
+    """(offsets, bases) groups whose sums offsets[:, :, None] + bases are
+    the pairs a gate on the targets rotates: the (2, K) offsets of the K
+    slices of A sides and of B sides, and the flat indices whose digits at
+    the targets are 0. For the even sector, offsets and bases of equal Y/Z
+    parity are grouped and given as sector positions. Only these are
+    cached, not the 2 to 8 times larger pair indices: a module cache lives
+    as long as the module."""
     lo, hi = min(targets), max(targets)
     L, H = 4 ** lo, 4 ** hi
     base = (np.arange(4 ** (m - 1 - hi))[:, None, None] * (4 * H)
             + np.arange(max(H // (4 * L), 1))[None, :, None] * (4 * L)
             + np.arange(L)[None, None, :]).ravel()
-    base.setflags(write=False)
     if hi == lo:  # the mixer's (Z_q, Y_q)
-        return base, (3 * L, 2 * L)
-    # (X_lo P_hi, Y_lo Q_hi) and (P_lo X_hi, Q_lo Y_hi) for P in (I, Z)
-    return base, ((L, L + 3 * H, H, 3 * L + H), (2 * L + 3 * H, 2 * L, 3 * L + 2 * H, 2 * H))
+        offsets = np.array([[3 * L], [2 * L]])
+    else:  # (X_lo P_hi, Y_lo Q_hi) and (P_lo X_hi, Q_lo Y_hi) for P in (I, Z)
+        offsets = np.array([[L, L + 3 * H, H, 3 * L + H], [2 * L + 3 * H, 2 * L, 3 * L + 2 * H, 2 * H]])
+    groups = [(offsets, base)]
+    if sector:
+        odd_offsets, odd_base = _odd(offsets[0], m), _odd(base, m)
+        groups = [(sector_position(offsets[:, odd_offsets == p]), sector_position(base[odd_base == p]))
+                  for p in (0, 1)]
+    for o, b in groups:
+        o.setflags(write=False)
+        b.setflags(write=False)
+    return tuple(groups)
 
 
-def rotation_pairs(gate: GateOp, m: int) -> np.ndarray:
-    """The (2, 4^(m-1)) flat indices of the coefficient pairs (A, B) that a
-    QAOA gate rotates, as A -> cos(phi) A - sin(phi) B,
-    B -> sin(phi) A + cos(phi) B with phi = 2 * weight * angle: (Z_q, Y_q)
-    for the mixer exp(+i beta X_q), and for the edge gate
-    exp(-i gamma w Z_i Z_j) the four slices (X_a P_b, Y_a Q_b) with
-    {a, b} = {i, j}, P_b in (I, Z) and Q_b the other one. Any other gate
-    raises ValueError, a non-diagonal two-qubit one GATE_RULE."""
+def rotation_pairs(gate: GateOp, m: int, sector: bool = False) -> np.ndarray:
+    """The (2, K) indices of the coefficient pairs (A, B) that a QAOA gate
+    rotates, as A -> cos(phi) A - sin(phi) B, B -> sin(phi) A + cos(phi) B
+    with phi = 2 * weight * angle: (Z_q, Y_q) for the mixer
+    exp(+i beta X_q), and for the edge gate exp(-i gamma w Z_i Z_j) the
+    four slices (X_a P_b, Y_a Q_b) with {a, b} = {i, j}, P_b in (I, Z) and
+    Q_b the other one. They are the K = 4^(m-1) flat indices, or with
+    sector set the 4^m / 8 sector positions of the even-sector pairs (the
+    gates keep the Y/Z parity). Any other gate raises ValueError, a
+    non-diagonal two-qubit one GATE_RULE."""
     if (gate.kind, gate.param) not in (("single", "beta"), ("two", "gamma")):
         if gate.kind == "two" and gate.diag is None:
             raise ValueError(GATE_RULE)
         raise ValueError(f"Pauli kernels take QAOA mixer and edge gates only, not {gate.kind} {gate.param!r}")
     _check_targets(m, gate.targets)
-    base, offsets = _pair_offsets(m, tuple(gate.targets))
-    return (np.reshape(offsets, (2, -1, 1)) + base).reshape(2, -1)
+    groups = _pair_offsets(m, tuple(gate.targets), sector)
+    return np.concatenate([(offsets[:, :, None] + base).reshape(2, -1) for offsets, base in groups], axis=1)
 
 
 def rotate_pairs(r: np.ndarray, pairs: np.ndarray, phi: float, values: np.ndarray | None = None):
@@ -348,7 +380,7 @@ def rotate_pairs(r: np.ndarray, pairs: np.ndarray, phi: float, values: np.ndarra
     given, is r[pairs]. Gathered pairs are contiguous, where strided views
     of low qubits have short inner axes that make arithmetic slow."""
     if values is None:
-        values = r[pairs]
+        values = r.take(pairs)
     c, s = math.cos(phi), math.sin(phi)
     new = np.multiply(values, c)
     new[0] -= s * values[1]

@@ -30,7 +30,6 @@ from noisyqaoa import (
 from noisyqaoa.experiments import ci_cost
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import adjoint_gradient_ideal, adjoint_gradient_noisy, noise_event_count
-from noisyqaoa.statevector import ptm_scales
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -351,7 +350,7 @@ class TestAdjointGradientNoisy:
         # diagonal, so it takes the elementwise 4x4 product, and its adjoint
         # R.T differs from R
         channel = amplitude_damping(gamma)
-        assert ptm_scales(channel.ptm, 3) is None
+        assert channel.ptm_scales(3) is None
         h = problem_hamiltonian(TRIANGLE)
         rng = np.random.default_rng(17)
         gam, bet = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)

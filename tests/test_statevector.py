@@ -24,14 +24,15 @@ from noisyqaoa.noise import custom_channel
 from noisyqaoa.statevector import (
     apply_ptm,
     apply_superop_1q,
+    even_sector,
     gate_on,
     mul_left_1q,
     mul_right_1q,
     pauli_to_density,
-    ptm_scales,
     rotate_pairs,
     rotation_pairs,
 )
+from test_ideal_oracle import lift
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -47,16 +48,6 @@ def basis_state(m, index):
 def random_state(m, rng):
     amp = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     return StateVector(m, amp / np.linalg.norm(amp))
-
-
-def lift(M, q, m):
-    """The 2^m x 2^m operator of M acting on qubit q."""
-    ops = [np.eye(2)] * m
-    ops[m - 1 - q] = M
-    full = ops[0]
-    for op in ops[1:]:
-        full = np.kron(full, op)
-    return full
 
 
 def pauli_string(index, m):
@@ -314,12 +305,12 @@ class TestPauliTransferKernels:
     def test_channel_kernels_match_kraus_sum(self, shape, m, seed):
         # forward: the coefficients of sum_K K rho K^dag; adjoint: those of
         # sum_K K^dag O K, through R.T; both by the elementwise product and,
-        # for a diagonal R, by the scale vectors
+        # for a diagonal R, by the scale vectors on the even sector
         rng = np.random.default_rng(seed)
         ch = random_cptp(shape, rng)
         R = ch.ptm
         assert np.abs(R[0] - [1.0, 0.0, 0.0, 0.0]).max() < 1e-14  # trace preservation
-        scales = ptm_scales(R, m)
+        scales, S = ch.ptm_scales(m), even_sector(m)
         assert (scales is None) == (shape in ("amplitude-damping", "random-kraus"))
         basis = pauli_basis(m)
         rho = random_state(m, rng).projector().entries
@@ -333,8 +324,8 @@ class TestPauliTransferKernels:
             assert np.abs(apply_ptm(r, R, q, buf) - forward).max() < 1e-13
             assert np.abs(apply_ptm(o, R.T, q, buf) - adjoint).max() < 1e-13 * np.abs(o).max()
             if scales is not None:
-                assert np.abs(r * scales[q] - forward).max() < 1e-13
-                assert np.abs(o * scales[q] - adjoint).max() < 1e-13 * np.abs(o).max()
+                assert np.abs(r[S] * scales[q] - forward[S]).max() < 1e-13
+                assert np.abs(o[S] * scales[q] - adjoint[S]).max() < 1e-13 * np.abs(o).max()
 
     @given(m=st.integers(1, 4), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -387,15 +378,21 @@ class TestPauliTransferKernels:
             "depolarizing": [1.0, 1 - p, 1 - p, 1 - p],
         }
         for kind, diag in expected.items():
-            R = make_channel(kind, p).ptm
+            channel = make_channel(kind, p)
+            R = channel.ptm
             assert np.abs(R - np.diag(diag)).max() < 1e-15
-            assert np.array_equal(ptm_scales(R, 2)[1], np.repeat(np.diag(R), 4))
+            # the m=2 sector is II IX XI XX YY YZ ZY ZZ: qubit 1's digits
+            # 0 0 1 1 2 2 3 3, qubit 0's 0 1 0 1 2 3 2 3
+            scales = channel.ptm_scales(2)
+            assert np.array_equal(scales[1], np.repeat(np.diag(R), 2))
+            assert np.array_equal(scales[0], np.diag(R)[[0, 1, 0, 1, 2, 3, 2, 3]])
+            assert channel.ptm_scales(2) is scales  # built once per channel and m
         # amplitude damping moves weight from Z onto I: R_ZI = gamma
         g = 0.3
         damping = custom_channel([np.diag([1.0, np.sqrt(1 - g)]), np.sqrt(g) * np.array([[0.0, 1.0], [0.0, 0.0]])])
         expected = [[1, 0, 0, 0], [0, np.sqrt(1 - g), 0, 0], [0, 0, np.sqrt(1 - g), 0], [g, 0, 0, 1 - g]]
         assert np.abs(damping.ptm - np.array(expected)).max() < 1e-15
-        assert ptm_scales(damping.ptm, 2) is None
+        assert damping.ptm_scales(2) is None
 
     def test_rotation_pairs_reject_other_gates(self):
         with pytest.raises(ValueError, match="QAOA mixer and edge gates only"):
