@@ -346,7 +346,7 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     return ResultTable(("p", "n", "N", "fidelity"), rows, meta)
 
 
-def run_cost_experiment(config: ExperimentConfig, params_by_n: dict | None = None) -> ResultTable:
+def run_cost_experiment(config: ExperimentConfig) -> ResultTable:
     """Noisy/ideal cost ratio y at the ideal-optimized parameters.
 
     In sampled mode each noisy cost carries the ci_cost half-width. Rows
@@ -355,8 +355,7 @@ def run_cost_experiment(config: ExperimentConfig, params_by_n: dict | None = Non
     graph = resolve_graph(config.graph_source)
     h = problem_hamiltonian(graph)
     m, E = graph.num_nodes, graph.num_edges
-    if params_by_n is None:
-        params_by_n = ideal_optimized_params(config, graph)
+    params_by_n = ideal_optimized_params(config, graph)
     rows = []
     fits = {}
     intercepts = {}

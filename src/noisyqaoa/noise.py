@@ -136,11 +136,7 @@ def make_channel(kind: str, p: float) -> NoiseChannel:
         )
     else:
         raise ValueError(f"unknown channel kind {kind!r}; use custom_channel() for custom Kraus sets")
-    channel = NoiseChannel(kind, float(p), kraus)
-    ok, residual = validate_cptp(channel)
-    if not ok:  # pragma: no cover - algebraically impossible for the named sets
-        raise ValueError(f"{kind} channel at p={p} violates CPTP (residual {residual:.3e})")
-    return channel
+    return NoiseChannel(kind, float(p), kraus)
 
 
 def custom_channel(kraus: Sequence[np.ndarray], p: float = 0.0) -> NoiseChannel:

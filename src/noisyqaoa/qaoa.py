@@ -125,16 +125,11 @@ class QaoaGate(NamedTuple):
 def build_circuit(graph: WeightedGraph, params: QaoaParams) -> GateSequence:
     """Compile the alternating edge/mixer gate list for the given graph.
 
-    Checks once for the whole circuit what GateOp checks per gate: the
-    targets are in range and distinct, and every mixer is unitary."""
+    Checks nothing per gate, unlike GateOp: a WeightedGraph holds its
+    edges as 0 <= i < j < m, and QaoaParams only finite angles, for which
+    every edge gate and mixer is unitary."""
     m = graph.num_nodes
     edges = sorted(graph.edges)
-    ij = np.array([(i, j) for i, j, _ in edges], dtype=int).reshape(-1, 2)
-    if np.any((ij < 0) | (ij >= m)) or np.any(ij[:, 0] == ij[:, 1]):
-        raise ValueError(f"edge targets out of range or repeated for {m} qubits")
-    c, s = np.cos(params.beta), np.sin(params.beta)
-    if np.abs(c * c + s * s - 1.0).max() > 1e-10:
-        raise ValueError("mixer gate is not unitary")
     gates = []
     for k, (gamma, beta) in enumerate(zip(params.gamma.tolist(), params.beta.tolist())):
         gates += [QaoaGate("two", (i, j), k, "gamma", w, gamma) for i, j, w in edges]
@@ -217,15 +212,6 @@ def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | 
     return r, spare
 
 
-def _gate_pairs(circuit: GateSequence, sector: bool) -> list:
-    """rotation_pairs of every gate, built once for all the gates of one
-    kind on the same qubits (every step repeats them)."""
-    m = circuit.num_qubits
-    keys = [(g.kind, g.param, g.targets) for g in circuit.gates]
-    built = {key: rotation_pairs(g, m, sector) for key, g in dict(zip(keys, circuit.gates)).items()}
-    return [built[key] for key in keys]
-
-
 class _Sweep(NamedTuple):
     """A forward sweep: the coefficients r, the channel's scales (None for
     a channel that keeps all 4^m coefficients, else r is the even sector),
@@ -257,7 +243,7 @@ def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = Fal
     if m > MAX_DENSE_QUBITS:  # before any 4^m array, the scales' included
         raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
     R, scales = channel.ptm, channel.ptm_scales(m)
-    pairs = _gate_pairs(circuit, scales is not None)
+    pairs = [rotation_pairs(gate, m, scales is not None) for gate in circuit.gates]
     r = np.zeros((4,) * (m - 1) + (4 if scales is None else 2,))  # the sector drops qubit 0's Y/Z bit
     r[(slice(0, 2),) * m] = 1.0  # |+>^m
     r, spare = r.reshape(-1), np.empty(r.size)

@@ -23,7 +23,9 @@ from noisyqaoa import (
 )
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import _noisy_sweep, adjoint_gradient_noisy
-from noisyqaoa.statevector import GATE_RULE, MAX_DENSE_QUBITS, even_sector, rotation_pairs, sector_position
+from noisyqaoa.statevector import (
+    GATE_RULE, MAX_DENSE_QUBITS, _pair_table, even_sector, rotation_pairs, sector_position,
+)
 from test_ideal_oracle import I2, TOL, X, Z, generator, graphs, lift
 
 PAULIS = np.array([I2, X, [[0.0, -1j], [1j, 0.0]], Z])
@@ -168,6 +170,32 @@ class TestIndexMap:
         assert sorted(map(tuple, got.T)) == sorted(map(tuple, expected.T))
 
 
+class TestPairTables:
+    def test_gates_on_the_same_qubits_share_one_read_only_table(self):
+        gates = build_circuit(WeightedGraph(3, ((0, 2, 1.0),)), QaoaParams([0.3, -0.2], [0.4, 0.1])).gates
+        edge = gates[0]
+        other = edge._replace(step=1, weight=-0.7, angle=1.1)
+        for kind_gates in ((edge, other), (gates[1], gates[5])):  # two edge gates, two mixers on qubit 0
+            for sector in (False, True):
+                table = rotation_pairs(kind_gates[0], 3, sector)
+                assert rotation_pairs(kind_gates[1], 3, sector) is table
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0
+
+    @pytest.mark.parametrize("sector", [True, False])
+    def test_warm_tables_give_the_cold_bits(self, sector):
+        graph = WeightedGraph(4, ((0, 1, 1.0), (1, 3, -0.6), (0, 2, 0.4)))
+        circuit, h = build_circuit(graph, QaoaParams([0.3, -0.5], [0.4, 0.9])), problem_hamiltonian(graph)
+        channel = make_channel("bitflip", 0.05) if sector else amplitude_damping(np.random.default_rng(2))
+        _pair_table.cache_clear()
+        cold = adjoint_gradient_noisy(circuit, h, channel), run_exact_noisy(circuit, channel).entries
+        assert _pair_table.cache_info().currsize == graph.num_edges + graph.num_nodes
+        warm = adjoint_gradient_noisy(circuit, h, channel), run_exact_noisy(circuit, channel).entries
+        assert _pair_table.cache_info().currsize == graph.num_edges + graph.num_nodes
+        for a, b in zip((*cold[0], cold[1]), (*warm[0], warm[1])):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestEdgeCases:
     GRAPHS = {
         "one-qubit": WeightedGraph(1, ()),  # the mixer has no even-sector pair
@@ -201,7 +229,9 @@ class TestEdgeCases:
 
     def test_too_many_qubits_raise_before_any_scales(self):
         # the qubit limit comes before the channel's 4^m / 2 scale vectors,
-        # which at m = 13 would take 0.9 GB
+        # which at m = 13 would take 0.9 GB, and before any pair table,
+        # which the module cache would keep (134 MB per gate)
+        misses = _pair_table.cache_info().misses
         m = MAX_DENSE_QUBITS + 1
         graph = WeightedGraph(m, ((0, 1, 1.0),))
         circuit, h = build_circuit(graph, QaoaParams([0.3], [0.4])), problem_hamiltonian(graph)
@@ -211,3 +241,4 @@ class TestEdgeCases:
             with pytest.raises(ValueError, match="density-matrix evolution limited"):
                 evaluate()
         assert not vars(channel).get("_ptm_scales_by_size")
+        assert _pair_table.cache_info().misses == misses

@@ -269,7 +269,7 @@ class TestKernelHelpers:
     @settings(max_examples=40, deadline=None)
     def test_superop_of_random_channel_matches_kraus_sum(self, pauli, k, seed):
         # a random Pauli mixture has a sparse superoperator, a random Kraus
-        # set a dense one; the block loop skips zero entries of either
+        # set a dense one; the contraction must handle either
         rng = np.random.default_rng(seed)
         m = 3
         if pauli:
