@@ -9,7 +9,6 @@ drivers with exponential-decay fitting.
 from .statevector import (
     StateVector,
     DensityMatrix,
-    GateOp,
     SimulationError,
     plus_state,
     apply_gate,

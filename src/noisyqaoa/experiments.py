@@ -35,7 +35,7 @@ from .gradopt import (
 )
 from .maxcut import WeightedGraph, load_graph as resolve_graph, problem_hamiltonian
 from .noise import KINDS, make_channel, noise_grid
-from .qaoa import QaoaParams, build_circuit, cost_exact, output_fidelity, run_exact_noisy, run_ideal
+from .qaoa import QaoaParams, _fidelities, build_circuit, cost_exact
 
 THREADS_ENV_VAR = "NOISYQAOA_THREADS"
 
@@ -295,7 +295,8 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
 
     Circuit parameters are drawn once per n from the master seed
     (uniform on [-pi, pi]) and echoed in the metadata. The fidelity is
-    computed from the exact density matrix, so sampled mode is rejected.
+    read from the exact noisy and ideal Pauli coefficients, so sampled
+    mode is rejected.
     """
     if config.mode != "exact":
         raise ValueError(f"the fidelity experiment runs in exact mode only, not mode {config.mode!r}")
@@ -310,12 +311,9 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
         params = QaoaParams(rng.uniform(-math.pi, math.pi, n), rng.uniform(-math.pi, math.pi, n))
         params_echo[n] = {"gamma": params.gamma, "beta": params.beta}
         circuit = build_circuit(graph, params)
-        ideal = run_ideal(circuit)
         N = n * (E + m)
         series = []
-        for p in config.p_values:
-            rho = run_exact_noisy(circuit, make_channel(config.channel, p))
-            F = output_fidelity(ideal, rho)
+        for p, F in zip(config.p_values, _fidelities(circuit, config.channel, config.p_values)):
             rows.append((p, n, N, F))
             series.append((p, F))
             pooled.append((p, F, N))

@@ -15,7 +15,8 @@ Exact noisy evolution runs on the state's 4^m real Pauli coefficients
 qubit's axis and every gate a set of real rotations between coefficient
 pairs, by the angle phi = 2 w theta. One forward sweep serves the noisy
 cost, which reads the Z_i Z_j coefficients, the density matrix of
-run_exact_noisy, converted once at the end, and the adjoint gradient.
+run_exact_noisy, converted once at the end, the fidelity driver's
+readout and the adjoint gradient.
 For a Pauli channel the sweep holds only the even sector (see
 statevector), the half of the coefficients that the global bit flip,
 the Z2 symmetry of Max-Cut QAOA, leaves nonzero; any other channel
@@ -33,19 +34,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .maxcut import ProblemHamiltonian, WeightedGraph, exact_expectation
-from .noise import CPTP_TOL, NoiseChannel
+from .noise import CPTP_TOL, NoiseChannel, make_channel
 from .statevector import (
     MAX_DENSE_QUBITS,
     DensityMatrix,
     SimulationError,
     StateVector,
-    _check_targets,
     apply_1q,
     apply_gate,
     apply_ptm,
     bit_flips,
     even_sector,
-    expand_diag,
     gate_on,
     mix,
     pauli_to_density,
@@ -84,10 +83,15 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Compiled ordered gate list; gate_count is N = n * (E + m)."""
+    """Compiled ordered list of QaoaGates; gate_count is N = n * (E + m)."""
 
     num_qubits: int
     gates: tuple
+
+    def __post_init__(self):
+        for k, gate in enumerate(self.gates):
+            if not isinstance(gate, QaoaGate):
+                raise ValueError(f"gate {k} is a {type(gate).__name__}, not a QaoaGate")
 
     @property
     def gate_count(self) -> int:
@@ -96,12 +100,11 @@ class GateSequence:
 
 class QaoaGate(NamedTuple):
     """A QAOA gate as an angle record: the edge gate
-    exp(-i angle weight Z_i Z_j) (kind "two", param "gamma") or the mixer
-    exp(+i angle X_q) (kind "single", param "beta", weight 1) of QAOA step
-    `step`. The sweeps read the angle; diag and matrix are made on demand
-    for gate_on, the trajectory kernel."""
+    exp(-i angle weight Z_i Z_j) (param "gamma") or the mixer
+    exp(+i angle X_q) (param "beta", weight 1) of QAOA step `step`. The
+    sweeps read the angle; diag and matrix are made on demand for
+    gate_on, the trajectory kernel."""
 
-    kind: str
     targets: tuple
     step: int
     param: str
@@ -110,13 +113,13 @@ class QaoaGate(NamedTuple):
 
     @property
     def diag(self) -> np.ndarray | None:
-        if self.kind != "two":
+        if self.param != "gamma":
             return None
         return np.exp(-1j * self.angle * self.weight * _ZZ_PARITY)
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.kind == "two":
+        if self.param == "gamma":
             return np.diag(self.diag)
         c, s = math.cos(self.angle), math.sin(self.angle)
         return np.array([[c, 1j * s], [1j * s, c]])
@@ -125,23 +128,21 @@ class QaoaGate(NamedTuple):
 def build_circuit(graph: WeightedGraph, params: QaoaParams) -> GateSequence:
     """Compile the alternating edge/mixer gate list for the given graph.
 
-    Checks nothing per gate, unlike GateOp: a WeightedGraph holds its
-    edges as 0 <= i < j < m, and QaoaParams only finite angles, for which
-    every edge gate and mixer is unitary."""
+    Checks nothing per gate: a WeightedGraph holds its edges as
+    0 <= i < j < m, and QaoaParams only finite angles, for which every
+    edge gate and mixer is unitary."""
     m = graph.num_nodes
     edges = sorted(graph.edges)
     gates = []
     for k, (gamma, beta) in enumerate(zip(params.gamma.tolist(), params.beta.tolist())):
-        gates += [QaoaGate("two", (i, j), k, "gamma", w, gamma) for i, j, w in edges]
-        gates += [QaoaGate("single", (q,), k, "beta", 1.0, beta) for q in range(m)]
+        gates += [QaoaGate((i, j), k, "gamma", w, gamma) for i, j, w in edges]
+        gates += [QaoaGate((q,), k, "beta", 1.0, beta) for q in range(m)]
     return GateSequence(m, tuple(gates))
 
 
 def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequence:
     """Copy of the sequence with only gate `index`'s angle shifted by delta."""
     g = seq.gates[index]
-    if g.param not in ("gamma", "beta"):
-        raise ValueError(f"gate {index} carries no parameter provenance")
     gates = list(seq.gates)
     gates[index] = g._replace(angle=g.angle + delta)
     return GateSequence(seq.num_qubits, tuple(gates))
@@ -149,19 +150,13 @@ def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequen
 
 def _ideal_plan(circuit: GateSequence) -> tuple:
     """The circuit as the ops of the fused pure-state sweep, in order, with
-    the weights, angles and steps of its parametrized gates. A run of
-    consecutive edge gates or of consecutive mixers is (param, table, rows),
-    with table the run's zz_parities or bit_flips and rows its slice of
-    those arrays; any other gate is ("", gate, None)."""
+    the weights, angles and steps of its gates. A run of consecutive edge
+    gates or of consecutive mixers is (param, table, rows), with table the
+    run's zz_parities or bit_flips and rows its slice of those arrays."""
     m = circuit.num_qubits
     ops, steps, w, theta = [], [], [], []
     for param, run in groupby(circuit.gates, key=attrgetter("param")):
-        if not param:
-            for g in run:
-                _check_targets(m, g.targets)
-                ops.append(("", g, None))
-            continue
-        _, targets, run_steps, _, run_w, run_theta = zip(*run)  # QaoaGate fields
+        targets, run_steps, _, run_w, run_theta = zip(*run)  # QaoaGate fields
         table = zz_parities(m, targets) if param == "gamma" else bit_flips(m, targets)
         ops.append((param, table, slice(len(steps), len(steps) + len(targets))))
         steps += run_steps
@@ -173,10 +168,9 @@ def _ideal_plan(circuit: GateSequence) -> tuple:
 def _ideal_sweep(circuit: GateSequence, plan: tuple, phases: list | None = None) -> np.ndarray:
     """Amplitudes of |+>^m through the circuit; plan is _ideal_plan(circuit).
     A run of edge gates is one multiply by exp(-i sum_g w_g theta_g z_i z_j),
-    a run of mixers is applied in place, any other gate by gate_on. The one
-    forward pass of run_ideal, the ideal cost_exact and
-    adjoint_gradient_ideal: phases, when given, receives each edge run's
-    phase vector."""
+    a run of mixers is applied in place. The one forward pass of run_ideal,
+    the ideal cost_exact and adjoint_gradient_ideal: phases, when given,
+    receives each edge run's phase vector."""
     m = circuit.num_qubits
     ops, w, theta, _ = plan
     w_theta, angles = w * theta, theta.tolist()
@@ -187,10 +181,8 @@ def _ideal_sweep(circuit: GateSequence, plan: tuple, phases: list | None = None)
             psi *= phase
             if phases is not None:
                 phases.append(phase)
-        elif param == "beta":
+        else:
             mix(psi, table, angles[rows])
-        else:  # a gate without a parameter
-            psi = gate_on(psi, table, m)
     return psi
 
 
@@ -267,18 +259,20 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
     return DensityMatrix(m, pauli_to_density(r, m))
 
 
+def _fidelities(circuit: GateSequence, kind: str, p_values) -> list:
+    """output_fidelity(run_ideal(circuit), run_exact_noisy(circuit, channel))
+    for the named channel kind at each strength p, with no density matrix:
+    F = Tr(rho sigma) = 2^-m r . s, with r the noisy sweep's coefficients
+    and s those of the ideal output, the same sweep at p = 0. A named
+    channel is a Pauli channel, so r and s are both even-sector arrays."""
+    s = _noisy_sweep(circuit, make_channel(kind, 0.0)).r
+    scale = 0.5 ** circuit.num_qubits
+    return [scale * float(np.einsum("i,i->", _noisy_sweep(circuit, make_channel(kind, p)).r, s))
+            for p in p_values]
+
+
 def _num_steps(circuit: GateSequence) -> int:
-    steps = [g.step for g in circuit.gates if g.param]
-    if not steps or min(steps) < 0:
-        raise ValueError("circuit gates carry no step provenance")
-    return 1 + max(steps)
-
-
-def _undo(S: np.ndarray, gate, m: int) -> np.ndarray:
-    """The adjoint of a gate given by its matrix, on the last axis of S."""
-    if gate.diag is not None:
-        return expand_diag(m, gate.targets, gate.diag.conj()) * S
-    return apply_1q(S, gate.matrix.conj().T, gate.targets[0])
+    return 1 + max(g.step for g in circuit.gates)
 
 
 def adjoint_gradient_ideal(
@@ -293,10 +287,8 @@ def adjoint_gradient_ideal(
     (2, 2^m) array (Jones & Gacon, arXiv:2009.02823). The gates of a run
     commute, so every term of a run is read at its end, in one product
     with the run's table: 2 w Im <b|Z_i Z_j|psi> for an edge gate,
-    -2 Im <b|X_q psi> for a mixer. Gates without a parameter add no term.
-    Returns (cost, d_gamma, d_beta).
+    -2 Im <b|X_q psi> for a mixer. Returns (cost, d_gamma, d_beta).
     """
-    m = circuit.num_qubits
     n = _num_steps(circuit)
     plan, phases = _ideal_plan(circuit), []
     psi = _ideal_sweep(circuit, plan, phases)
@@ -311,12 +303,9 @@ def adjoint_gradient_ideal(
         if param == "gamma":
             terms = w2[rows] * (table @ (S[1].conj() * S[0]).imag)
             S *= phases.pop().conj()
-        elif param == "beta":
+        else:
             terms = -2.0 * (S[0][table] @ S[1].conj()).imag
             mix(S, table, undo_angles[rows])
-        else:  # a gate without a parameter
-            S = _undo(S, table, m)
-            continue
         np.add.at(grads[param], steps[rows], terms)
     return cost, grads["gamma"], grads["beta"]
 

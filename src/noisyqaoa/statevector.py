@@ -30,15 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .noise import NoiseChannel
 
+if TYPE_CHECKING:  # qaoa imports this module
+    from .qaoa import QaoaGate
+
 MAX_PURE_QUBITS = 24
 MAX_DENSE_QUBITS = 12
-GATE_RULE = "gate kernels take single-qubit and diagonal two-qubit gates only"
 
 
 class SimulationError(RuntimeError):
@@ -94,44 +96,6 @@ class DensityMatrix:
         return DensityMatrix(self.num_qubits, self.entries.copy())
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """A single- or two-qubit unitary gate given by its matrix, checked
-    when built.
-
-    diag holds the 4-entry diagonal for diagonal two-qubit gates (fast
-    path). Such a gate depends on no QAOA parameter (param ""); the QAOA
-    gates are angle records (qaoa.QaoaGate) with the same kind, targets,
-    step, diag and matrix.
-    """
-
-    kind: str                      # "single" | "two"
-    targets: tuple
-    matrix: np.ndarray
-    diag: np.ndarray | None = None
-    step: int = -1
-    param: ClassVar[str] = ""
-
-    def __post_init__(self):
-        dim = {"single": 2, "two": 4}.get(self.kind)
-        if dim is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.targets) != (1 if self.kind == "single" else 2):
-            raise ValueError(f"{self.kind} gate needs {1 if dim == 2 else 2} targets")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate gate targets {self.targets}")
-        if any(q < 0 for q in self.targets):
-            raise ValueError(f"negative qubit index in {self.targets}")
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"gate matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        if np.abs(mat.conj().T @ mat - np.eye(dim)).max() > 1e-10:
-            raise ValueError("gate matrix is not unitary")
-        object.__setattr__(self, "matrix", mat)
-        if self.diag is not None:
-            object.__setattr__(self, "diag", np.asarray(self.diag, dtype=complex))
-
-
 def plus_state(m: int) -> StateVector:
     """|+>^(x m): the uniform real superposition over all 2^m basis states."""
     if not 1 <= m <= MAX_PURE_QUBITS:
@@ -160,8 +124,8 @@ def expand_diag(m: int, targets, diag4: np.ndarray) -> np.ndarray:
     return np.asarray(diag4)[2 * _bit(m, i) + _bit(m, j)]
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply a gate; norm is preserved to 1e-10 (unitary)."""
+def apply_gate(state: StateVector, gate: QaoaGate) -> StateVector:
+    """Apply a QAOA gate; norm is preserved to 1e-10 (unitary)."""
     m = state.num_qubits
     _check_targets(m, gate.targets)
     return StateVector(m, gate_on(state.amplitudes, gate, m))
@@ -185,12 +149,12 @@ def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def gate_on(psi: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
-    """A gate acting on the last axis (length 2^m) of psi, for any batch shape.
+def gate_on(psi: np.ndarray, gate: QaoaGate, m: int) -> np.ndarray:
+    """A QAOA gate acting on the last axis (length 2^m) of psi, for any batch shape.
 
-    A diagonal gate is a multiply by its lifted diagonal and a
-    single-qubit gate an elementwise 2x2 product (as in qsim's per-gate
-    kernels, arXiv:2111.02396); any other gate raises GATE_RULE.
+    The edge gate is a multiply by its lifted diagonal and the mixer an
+    elementwise 2x2 product (as in qsim's per-gate kernels,
+    arXiv:2111.02396).
     """
     d = gate.diag
     if d is not None:
@@ -198,8 +162,6 @@ def gate_on(psi: np.ndarray, gate: GateOp, m: int) -> np.ndarray:
         # (fused multiply-adds), and the other order moves the last bits
         # of every trajectory state and of the CSV rows computed from them
         return expand_diag(m, gate.targets, d) * psi
-    if gate.kind != "single":
-        raise ValueError(GATE_RULE)
     return apply_1q(psi, gate.matrix, gate.targets[0])
 
 
@@ -337,7 +299,7 @@ def _pair_table(m: int, targets: tuple, sector: bool) -> np.ndarray:
     return pairs
 
 
-def rotation_pairs(gate: GateOp, m: int, sector: bool = False) -> np.ndarray:
+def rotation_pairs(gate: QaoaGate, m: int, sector: bool = False) -> np.ndarray:
     """The (2, K) indices of the coefficient pairs (A, B) that a QAOA gate
     rotates, as A -> cos(phi) A - sin(phi) B, B -> sin(phi) A + cos(phi) B
     with phi = 2 * weight * angle: (Z_q, Y_q) for the mixer
@@ -349,12 +311,7 @@ def rotation_pairs(gate: GateOp, m: int, sector: bool = False) -> np.ndarray:
     the layout only, so it is built once and kept, read-only, for every
     later gate on the same qubits: 2K int64, 32 KB at m = 7 and about
     34 MB at m = 12 in the sector, twice that in the full layout, for at
-    most 128 tables. Any other gate raises ValueError, a non-diagonal
-    two-qubit one GATE_RULE."""
-    if (gate.kind, gate.param) not in (("single", "beta"), ("two", "gamma")):
-        if gate.kind == "two" and gate.diag is None:
-            raise ValueError(GATE_RULE)
-        raise ValueError(f"Pauli kernels take QAOA mixer and edge gates only, not {gate.kind} {gate.param!r}")
+    most 128 tables."""
     _check_targets(m, gate.targets)
     return _pair_table(m, tuple(gate.targets), sector)
 

@@ -18,14 +18,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from noisyqaoa import (
-    GateOp, GateSequence, QaoaParams, WeightedGraph, build_circuit, cost_exact, make_channel, problem_hamiltonian,
-    run_exact_noisy,
+    QaoaParams, WeightedGraph, build_circuit, cost_exact, make_channel, problem_hamiltonian, run_exact_noisy,
 )
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import _noisy_sweep, adjoint_gradient_noisy
-from noisyqaoa.statevector import (
-    GATE_RULE, MAX_DENSE_QUBITS, _pair_table, even_sector, rotation_pairs, sector_position,
-)
+from noisyqaoa.statevector import MAX_DENSE_QUBITS, _pair_table, even_sector, rotation_pairs, sector_position
 from test_ideal_oracle import I2, TOL, X, Z, generator, graphs, lift
 
 PAULIS = np.array([I2, X, [[0.0, -1j], [1j, 0.0]], Z])
@@ -158,9 +155,9 @@ class TestIndexMap:
         # the full pairs (flat indices) whose A side is even, as sector
         # positions, are the sector pairs, in some order
         targets = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, 2), unique=True))
-        kind, param = ("two", "gamma") if len(targets) == 2 else ("single", "beta")
+        param = "gamma" if len(targets) == 2 else "beta"
         gate = build_circuit(WeightedGraph(m, ()), QaoaParams([0.3], [0.4])).gates[0]._replace(
-            kind=kind, param=param, targets=tuple(targets))
+            param=param, targets=tuple(targets))
         full = rotation_pairs(gate, m)
         even = full[:, odd_parity(m)[full[0]] == 0]
         assert np.array_equal(odd_parity(m)[full[0]], odd_parity(m)[full[1]])  # the gates keep the parity
@@ -213,19 +210,6 @@ class TestEdgeCases:
     def test_empty_pairs(self):
         gate = build_circuit(WeightedGraph(1, ()), QaoaParams([0.3], [0.4])).gates[0]
         assert rotation_pairs(gate, 1, sector=True).shape == (2, 0)
-
-    def test_non_diagonal_two_qubit_gate_raises(self):
-        cnot = GateOp(kind="two", targets=(0, 1), matrix=np.eye(4)[[0, 1, 3, 2]])
-        circuit = build_circuit(WeightedGraph(2, ((0, 1, 1.0),)), QaoaParams([0.3], [0.4]))
-        circuit = GateSequence(2, circuit.gates[:1] + (cnot,) + circuit.gates[1:])
-        h = problem_hamiltonian(WeightedGraph(2, ((0, 1, 1.0),)))
-        for channel in (make_channel("depolarizing", 0.1), amplitude_damping(np.random.default_rng(1))):
-            with pytest.raises(ValueError, match=GATE_RULE):
-                run_exact_noisy(circuit, channel)
-            with pytest.raises(ValueError, match=GATE_RULE):
-                cost_exact(circuit, h, channel)
-            with pytest.raises(ValueError, match=GATE_RULE):
-                adjoint_gradient_noisy(circuit, h, channel)
 
     def test_too_many_qubits_raise_before_any_scales(self):
         # the qubit limit comes before the channel's 4^m / 2 scale vectors,

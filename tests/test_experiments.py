@@ -18,10 +18,13 @@ from noisyqaoa import (
     fit_decay,
     landscape_argmin,
     make_channel,
+    output_fidelity,
     problem_hamiltonian,
     run_cost_experiment,
+    run_exact_noisy,
     run_fidelity_experiment,
     run_gradient_experiment,
+    run_ideal,
     run_optimization_experiment,
 )
 from noisyqaoa import experiments
@@ -243,6 +246,19 @@ class TestFidelityExperiment:
     def test_sampled_mode_rejected(self):
         with pytest.raises(ValueError, match="mode 'sampled'"):
             run_fidelity_experiment(ExperimentConfig(**SMALL, mode="sampled"))
+
+    @pytest.mark.parametrize("channel", ["depolarizing", "dephasing", "bitflip"])
+    def test_rows_match_the_density_matrix(self, channel):
+        # the driver reads F from the Pauli coefficients; the reference is
+        # <phi|rho|phi> on run_exact_noisy's density matrix
+        cfg = ExperimentConfig(**{**SMALL, "p_values": (0.0, 0.01, 0.05)}, channel=channel)
+        table = run_fidelity_experiment(cfg)
+        graph = resolve_graph(cfg.graph_source)
+        circuits = {n: build_circuit(graph, QaoaParams(**par)) for n, par in table.metadata["params"].items()}
+        assert len(table.rows) == 6
+        for p, n, _, F in table.rows:
+            rho = run_exact_noisy(circuits[n], make_channel(channel, p))
+            assert abs(F - output_fidelity(run_ideal(circuits[n]), rho)) < 1e-12
 
 
 class TestCostExperiment:

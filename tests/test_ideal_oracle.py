@@ -5,7 +5,7 @@ The oracle multiplies kron-lifted 2^m x 2^m matrices exp(-i theta w Z_i Z_j)
 and exp(+i beta X_q), made by scipy's expm, one per gate in circuit order,
 and takes each gate's derivative by inserting its generator (-i w Z_i Z_j
 or +i X_q) right after the gate. It reads only the circuit's gate list:
-kind, targets, weight, angle, step, or a foreign gate's matrix.
+param, targets, weight, angle and step.
 """
 
 import itertools
@@ -14,9 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from noisyqaoa import (
-    GateOp, GateSequence, QaoaParams, WeightedGraph, build_circuit, problem_hamiltonian, run_ideal, with_shifted_gate,
-)
+from noisyqaoa import QaoaParams, WeightedGraph, build_circuit, problem_hamiltonian, run_ideal, with_shifted_gate
 from noisyqaoa.qaoa import adjoint_gradient_ideal
 
 I2 = np.eye(2)
@@ -35,14 +33,12 @@ def lift(M, q, m):
 
 
 def generator(gate, m):
-    """(G, U) with dU/dangle = G U, or (None, U) for a gate without a parameter."""
+    """(G, U) with dU/dangle = G U."""
     if gate.param == "gamma":
         i, j = gate.targets
         G = -1j * gate.weight * lift(Z, i, m) @ lift(Z, j, m)
-    elif gate.param == "beta":
-        G = 1j * lift(X, gate.targets[0], m)
     else:
-        return None, lift(gate.matrix, gate.targets[0], m)
+        G = 1j * lift(X, gate.targets[0], m)
     return G, expm(gate.angle * G)
 
 
@@ -62,11 +58,10 @@ def dense_oracle(circuit, graph):
         return psi
 
     psi = run()
-    n = 1 + max(g.step for g in circuit.gates if g.param)
+    n = 1 + max(g.step for g in circuit.gates)
     grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
     for k, gate in enumerate(circuit.gates):
-        if gate.param:
-            grads[gate.param][gate.step] += 2.0 * np.vdot(psi, H @ run(insert_at=k)).real
+        grads[gate.param][gate.step] += 2.0 * np.vdot(psi, H @ run(insert_at=k)).real
     return psi, np.vdot(psi, H @ psi).real, grads["gamma"], grads["beta"]
 
 
@@ -78,11 +73,6 @@ def graphs(draw):
     weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(chosen), max_size=len(chosen)))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(chosen), max_size=len(chosen)))
     return WeightedGraph(m, tuple((i, j, s * w) for (i, j), w, s in zip(chosen, weights, signs)))
-
-
-def random_unitary(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def assert_matches(circuit, graph):
@@ -121,16 +111,3 @@ def test_shifted_gates_match_dense_oracle(graph, n, seed):
         circuit = with_shifted_gate(circuit, int(k), float(rng.normal()))
     assert_matches(circuit, graph)
 
-
-@given(graph=graphs(), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-@example(graph=SINGLE_EDGE, n=1, seed=0)
-@settings(max_examples=30, deadline=None)
-def test_foreign_gate_breaks_a_run(graph, n, seed):
-    # a single-qubit gate with no parameter, inside the first edge run when
-    # there are two or more edges, else between the edge and the mixers
-    rng = np.random.default_rng(seed)
-    circuit = random_circuit(graph, n, rng)
-    foreign = GateOp(kind="single", targets=(int(rng.integers(graph.num_nodes)),), matrix=random_unitary(rng))
-    at = int(rng.integers(1, graph.num_edges + 1))
-    gates = circuit.gates[:at] + (foreign,) + circuit.gates[at:]
-    assert_matches(GateSequence(circuit.num_qubits, gates), graph)

@@ -1,6 +1,7 @@
 """QAOA compilation and execution against independent dense oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from noisyqaoa import (
-    GateOp,
     GateSequence,
     QaoaParams,
     WeightedGraph,
-    apply_gate,
     build_circuit,
     cost_exact,
     cost_sampled,
@@ -29,7 +28,7 @@ from noisyqaoa import (
 )
 from noisyqaoa.experiments import ci_cost
 from noisyqaoa.noise import custom_channel
-from noisyqaoa.qaoa import adjoint_gradient_ideal, adjoint_gradient_noisy, noise_event_count
+from noisyqaoa.qaoa import adjoint_gradient_noisy, noise_event_count
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -216,27 +215,14 @@ class TestRunExactNoisy:
 ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        lambda seq, h, ch: run_exact_noisy(seq, ch),
-        lambda seq, h, ch: adjoint_gradient_ideal(seq, h),
-        lambda seq, h, ch: adjoint_gradient_noisy(seq, h, ch),
-        lambda seq, h, ch: trajectory_states(seq, ch, 4, seed=1),
-        lambda seq, h, ch: run_ideal(seq),
-        lambda seq, h, ch: apply_gate(plus_state(seq.num_qubits), seq.gates[0]),
-    ],
-    ids=["run_exact_noisy", "adjoint_gradient_ideal", "adjoint_gradient_noisy", "trajectory_states",
-         "run_ideal", "apply_gate"],
-)
-def test_kernels_reject_non_diagonal_two_qubit_gate(kernel, single_edge):
-    # unchecked, adjoint_gradient_noisy would apply only the top-left 2x2
-    # block of such a gate and return a wrong cost
-    qaoa = build_circuit(single_edge, QaoaParams([0.4], [0.3]))
-    gate = GateOp(kind="two", targets=(0, 1), matrix=ISWAP, step=0)
-    seq = GateSequence(2, (gate,) + qaoa.gates)
-    with pytest.raises(ValueError, match="diagonal two-qubit gates only"):
-        kernel(seq, problem_hamiltonian(single_edge), make_channel("depolarizing", 0.01))
+def test_circuit_rejects_a_foreign_gate(table1):
+    # an iSWAP posing as an edge gate: unchecked, the sweeps would read its
+    # angle and the trajectory kernel its missing diagonal
+    gates = build_circuit(table1, QaoaParams([0.4], [0.3])).gates
+    iswap = SimpleNamespace(targets=(0, 1), step=0, param="gamma", weight=1.0, angle=0.0, diag=None, matrix=ISWAP)
+    for at in (0, 5, len(gates)):
+        with pytest.raises(ValueError, match=f"gate {at} is a SimpleNamespace, not a QaoaGate"):
+            GateSequence(table1.num_nodes, gates[:at] + (iswap,) + gates[at:])
 
 
 class TestWithShiftedGate:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from noisyqaoa import (
     DensityMatrix,
-    GateOp,
     QaoaParams,
     SimulationError,
     StateVector,
@@ -21,7 +20,9 @@ from noisyqaoa import (
     sample_kraus,
 )
 from noisyqaoa.noise import custom_channel
+from noisyqaoa.qaoa import QaoaGate
 from noisyqaoa.statevector import (
+    apply_1q,
     apply_ptm,
     apply_superop_1q,
     even_sector,
@@ -130,50 +131,37 @@ class TestStates:
         assert rho.trace() == pytest.approx(1.0)
 
 
-class TestGateOp:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            GateOp(kind="single", targets=(0,), matrix=np.array([[1.0, 0.0], [0.0, 2.0]]))
+def mixer(q, beta):
+    return QaoaGate((q,), 0, "beta", 1.0, beta)
 
-    def test_rejects_duplicate_targets(self):
-        with pytest.raises(ValueError):
-            GateOp(kind="two", targets=(1, 1), matrix=np.eye(4))
 
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            GateOp(kind="three", targets=(0,), matrix=np.eye(2))
-
-    def test_rejects_wrong_arity(self):
-        with pytest.raises(ValueError):
-            GateOp(kind="single", targets=(0, 1), matrix=np.eye(2))
+def edge_gate(i, j, w, gamma):
+    return QaoaGate((i, j), 0, "gamma", w, gamma)
 
 
 class TestApplyGate:
     def test_x_flips_zero(self):
-        out = apply_gate(basis_state(1, 0), GateOp(kind="single", targets=(0,), matrix=X))
-        assert np.allclose(out.amplitudes, [0.0, 1.0])
+        # exp(i pi/2 X) = i X
+        out = apply_gate(basis_state(1, 0), mixer(0, np.pi / 2))
+        assert np.allclose(out.amplitudes, [0.0, 1j])
 
     def test_hadamard_on_zero(self):
-        out = apply_gate(basis_state(1, 0), GateOp(kind="single", targets=(0,), matrix=H))
-        assert np.allclose(out.amplitudes, [1 / np.sqrt(2)] * 2)
+        # a trajectory's Kraus branch is any 2x2 operator: apply_1q takes it
+        out = apply_1q(basis_state(1, 0).amplitudes, H, 0)
+        assert np.allclose(out, [1 / np.sqrt(2)] * 2)
 
     def test_diagonal_zz_phase(self):
-        theta = np.pi / 2
-        d = np.exp(-1j * theta * np.array([1.0, -1.0, -1.0, 1.0]))
-        gate = GateOp(kind="two", targets=(0, 1), matrix=np.diag(d), diag=d)
-        out = apply_gate(basis_state(2, 0), gate)
+        out = apply_gate(basis_state(2, 0), edge_gate(0, 1, 1.0, np.pi / 2))
         assert np.allclose(out.amplitudes, [-1j, 0, 0, 0])
 
     def test_x_targets_correct_qubit(self):
         # qubit 1 is the second-least-significant bit of the index
-        gate = GateOp(kind="single", targets=(1,), matrix=X)
-        out = apply_gate(basis_state(2, 0), gate)
-        assert np.allclose(out.amplitudes, [0, 0, 1, 0])
+        out = apply_gate(basis_state(2, 0), mixer(1, np.pi / 2))
+        assert np.allclose(out.amplitudes, [0, 0, 1j, 0])
 
     def test_target_out_of_range(self):
-        gate = GateOp(kind="single", targets=(3,), matrix=X)
         with pytest.raises(ValueError):
-            apply_gate(basis_state(2, 0), gate)
+            apply_gate(basis_state(2, 0), mixer(3, np.pi / 2))
 
     @given(m=st.integers(1, 4), q=st.integers(0, 3), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -182,29 +170,33 @@ class TestApplyGate:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, _ = np.linalg.qr(a)
-        out = apply_gate(random_state(m, rng), GateOp(kind="single", targets=(q,), matrix=u))
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        out = apply_1q(random_state(m, rng).amplitudes, u, q)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     @given(m=st.integers(1, 4), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_kernel_matches_dense_operator(self, m, seed):
         # oracle: the kron-lifted 2^m x 2^m matrix, which shares no code
-        # with gate_on; checked on a (T, 2^m) batch and on a single state
+        # with gate_on or apply_1q; checked on a (T, 2^m) batch and on a
+        # single state, for a mixer, an edge gate and a random unitary
         rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 5))
+        batch = rng.normal(size=(T, 1 << m)) + 1j * rng.normal(size=(T, 1 << m))
         u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         q = int(rng.integers(m))
-        gates = [(GateOp(kind="single", targets=(q,), matrix=u), lift(u, q, m))]
+        assert np.abs(apply_1q(batch, u, q) - batch @ lift(u, q, m).T).max() < 1e-13
+        beta = rng.uniform(-np.pi, np.pi)
+        gates = [(mixer(q, beta), lift(np.cos(beta) * np.eye(2) + 1j * np.sin(beta) * X, q, m))]
         if m >= 2:
             i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
-            d = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4))
+            w, gamma = rng.uniform(-2.0, 2.0), rng.uniform(-np.pi, np.pi)
+            d = np.exp(-1j * gamma * w * np.array([1.0, -1.0, -1.0, 1.0]))
             Z = np.diag([1.0, -1.0])
             # d is indexed 2 * b_i + b_j; build it from projectors on each bit
             proj = ((np.eye(2) + Z) / 2, (np.eye(2) - Z) / 2)
             full = sum(d[2 * bi + bj] * lift(proj[bi], i, m) @ lift(proj[bj], j, m)
                        for bi in (0, 1) for bj in (0, 1))
-            gates.append((GateOp(kind="two", targets=(i, j), matrix=np.diag(d), diag=d), full))
-        T = int(rng.integers(1, 5))
-        batch = rng.normal(size=(T, 1 << m)) + 1j * rng.normal(size=(T, 1 << m))
+            gates.append((edge_gate(i, j, w, gamma), full))
         for gate, full in gates:
             assert np.abs(gate_on(batch, gate, m) - batch @ full.T).max() < 1e-13
             psi = random_state(m, rng)
@@ -394,13 +386,6 @@ class TestPauliTransferKernels:
         assert np.abs(damping.ptm - np.array(expected)).max() < 1e-15
         assert damping.ptm_scales(2) is None
 
-    def test_rotation_pairs_reject_other_gates(self):
-        with pytest.raises(ValueError, match="QAOA mixer and edge gates only"):
-            rotation_pairs(GateOp(kind="single", targets=(0,), matrix=H), 2)
-        d = np.exp(1j * np.arange(4.0))
-        with pytest.raises(ValueError, match="QAOA mixer and edge gates only"):
-            rotation_pairs(GateOp(kind="two", targets=(0, 1), matrix=np.diag(d), diag=d), 2)
-
 
 class TestSampleKraus:
     def test_bitflip_branch_probabilities_on_zero(self):
@@ -436,10 +421,10 @@ class TestSampleKraus:
             assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_trajectory_average_converges_to_exact(self):
-        # single H gate on |0>, dephasing(0.2): trajectory mixture vs exact channel
+        # one mixer on |0>, dephasing(0.2): trajectory mixture vs exact channel
         p, T = 0.2, 100_000
         ch = make_channel("dephasing", p)
-        after_gate = apply_gate(basis_state(1, 0), GateOp(kind="single", targets=(0,), matrix=H))
+        after_gate = apply_gate(basis_state(1, 0), mixer(0, 0.6))
         exact = apply_kraus_exact(after_gate.projector(), ch, 0).entries
         rng = np.random.default_rng(11)
         acc = np.zeros((2, 2), dtype=complex)
