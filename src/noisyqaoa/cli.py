@@ -103,7 +103,7 @@ def _add_common(parser, grid=False, descent=False, batch=False):
     # run settings default to None so that _merge_settings can tell an
     # explicit flag from an unset one; the defaults are ExperimentConfig's
     parser.add_argument("--graph", dest="graph_source", help="graph file path or 'table1'")
-    parser.add_argument("--channel", choices=[k for k in KINDS if k != "custom"])
+    parser.add_argument("--channel", choices=KINDS)
     parser.add_argument("--p", type=float, default=None, help="single noise strength")
     if grid:
         parser.add_argument("--grid", action="store_true", help="use the 11-point strength grid")

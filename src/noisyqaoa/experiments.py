@@ -96,7 +96,7 @@ class ExperimentConfig:
             raise ValueError("step counts must be >= 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown evaluator mode {self.mode!r}")
-        if self.channel not in KINDS or self.channel == "custom":
+        if self.channel not in KINDS:
             raise ValueError(f"unknown channel kind {self.channel!r}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, not {self.threads}")
@@ -113,7 +113,7 @@ class ExperimentConfig:
         return min(os.cpu_count() or 1, 8)
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
     """Named columns, data rows, and a metadata dict (config echo, seed,
     fitted constants and residuals)."""

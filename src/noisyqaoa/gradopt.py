@@ -41,7 +41,7 @@ from .statevector import SimulationError
 Evaluator = Callable[[GateSequence], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gradient:
     """Cost derivatives with respect to gamma and beta (energy/radian)."""
 

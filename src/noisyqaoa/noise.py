@@ -16,10 +16,10 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = np.stack([_I2, _X, _Y, _Z])
 
-KINDS = ("dephasing", "bitflip", "depolarizing", "custom")
+KINDS = ("dephasing", "bitflip", "depolarizing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseChannel:
     """A single-qubit channel given by a list of 2x2 Kraus operators.
 

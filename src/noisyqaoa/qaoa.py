@@ -25,7 +25,6 @@ keeps all 4^m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -56,10 +55,8 @@ from .statevector import (
     zz_parities,
 )
 
-_ZZ_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QaoaParams:
     """Parameter vectors (gamma, beta), each of length n (radians)."""
 
@@ -101,28 +98,13 @@ class GateSequence:
 class QaoaGate(NamedTuple):
     """A QAOA gate as an angle record: the edge gate
     exp(-i angle weight Z_i Z_j) (param "gamma") or the mixer
-    exp(+i angle X_q) (param "beta", weight 1) of QAOA step `step`. The
-    sweeps read the angle; diag and matrix are made on demand for
-    gate_on, the trajectory kernel."""
+    exp(+i angle X_q) (param "beta", weight 1) of QAOA step `step`."""
 
     targets: tuple
     step: int
     param: str
     weight: float
     angle: float
-
-    @property
-    def diag(self) -> np.ndarray | None:
-        if self.param != "gamma":
-            return None
-        return np.exp(-1j * self.angle * self.weight * _ZZ_PARITY)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self.param == "gamma":
-            return np.diag(self.diag)
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, 1j * s], [1j * s, c]])
 
 
 def build_circuit(graph: WeightedGraph, params: QaoaParams) -> GateSequence:
@@ -441,7 +423,7 @@ def trajectory_states(
         states = np.full((num_traj, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
         col = 0
         for gate in circuit.gates:
-            states = gate_on(states, gate, m)
+            gate_on(states, gate, m)
             for q in gate.targets:
                 states = _sample_kraus_batch(states, channel, q, uniforms[:, col], m)
                 col += 1
@@ -455,7 +437,7 @@ def trajectory_states(
     states = np.full((len(picks), 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
     col = 0
     for gate in circuit.gates:
-        states = gate_on(states, gate, m)
+        gate_on(states, gate, m)
         for q in gate.targets:
             for l in faults:
                 rows = np.flatnonzero(picks[:, col] == l)

@@ -47,7 +47,7 @@ class SimulationError(RuntimeError):
     """Numerical failure during simulation (degenerate branch weights etc.)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Pure state of num_qubits qubits as a length-2^m complex array."""
 
@@ -74,7 +74,7 @@ class StateVector:
         return DensityMatrix(self.num_qubits, np.outer(a, a.conj()))
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMatrix:
     """Mixed state of num_qubits qubits as a 2^m x 2^m complex matrix."""
 
@@ -118,17 +118,9 @@ def _bit(m: int, q: int) -> np.ndarray:
     return bits
 
 
-def expand_diag(m: int, targets, diag4: np.ndarray) -> np.ndarray:
-    """Lift a two-qubit diagonal (indexed 2*b_i + b_j) to the full register."""
-    i, j = targets
-    return np.asarray(diag4)[2 * _bit(m, i) + _bit(m, j)]
-
-
 def apply_gate(state: StateVector, gate: QaoaGate) -> StateVector:
-    """Apply a QAOA gate; norm is preserved to 1e-10 (unitary)."""
-    m = state.num_qubits
-    _check_targets(m, gate.targets)
-    return StateVector(m, gate_on(state.amplitudes, gate, m))
+    """Apply a QAOA gate to a copy of the state; norm is preserved to 1e-10 (unitary)."""
+    return StateVector(state.num_qubits, gate_on(state.amplitudes.copy(), gate, state.num_qubits))
 
 
 def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
@@ -147,22 +139,6 @@ def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
         np.multiply(M[i, 1], b, out=tmp)
         np.add(out[:, i], tmp, out=out[:, i])
     return out.reshape(arr.shape)
-
-
-def gate_on(psi: np.ndarray, gate: QaoaGate, m: int) -> np.ndarray:
-    """A QAOA gate acting on the last axis (length 2^m) of psi, for any batch shape.
-
-    The edge gate is a multiply by its lifted diagonal and the mixer an
-    elementwise 2x2 product (as in qsim's per-gate kernels,
-    arXiv:2111.02396).
-    """
-    d = gate.diag
-    if d is not None:
-        # diagonal first: numpy's complex product rounds by operand order
-        # (fused multiply-adds), and the other order moves the last bits
-        # of every trajectory state and of the CSV rows computed from them
-        return expand_diag(m, gate.targets, d) * psi
-    return apply_1q(psi, gate.matrix, gate.targets[0])
 
 
 @lru_cache(maxsize=128)
@@ -209,6 +185,18 @@ def mix(psi: np.ndarray, flips: np.ndarray, angles) -> None:
     psi *= scale
 
 
+def gate_on(psi: np.ndarray, gate: QaoaGate, m: int) -> np.ndarray:
+    """A QAOA gate in place on the last axis (length 2^m) of psi, for any
+    batch shape, with the noiseless sweep's tables: the edge gate
+    multiplies by exp(-i w theta z_i z_j), the mixer is mix (as in qsim's
+    per-gate kernels, arXiv:2111.02396). Returns psi."""
+    if gate.param == "gamma":
+        psi *= np.exp(-1j * gate.weight * gate.angle * zz_parities(m, (gate.targets,))[0])
+    else:
+        mix(psi, bit_flips(m, (gate.targets,)), (gate.angle,))
+    return psi
+
+
 def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.ndarray:
     """Apply a 4x4 superoperator to one qubit of a 2^m x 2^m matrix rho,
     indexed (row bit, col bit) on both sides, as one elementwise
@@ -220,6 +208,12 @@ def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.n
 
 # no caller in the package; the benchmark's tracer looks them up by
 # name until its refresh (ROADMAP item 1) frees them
+
+
+def expand_diag(m: int, targets, diag4: np.ndarray) -> np.ndarray:
+    """Lift a two-qubit diagonal (indexed 2*b_i + b_j) to the full register."""
+    i, j = targets
+    return np.asarray(diag4)[2 * _bit(m, i) + _bit(m, j)]
 
 
 def mul_left_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:

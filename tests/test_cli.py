@@ -64,6 +64,10 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["validate", "--bogus"]) == EXIT_USAGE
 
+    def test_custom_channel_flag_is_usage_error(self, capsys):
+        # a custom channel has Kraus operators, which no flag can carry
+        assert main(["validate", "--channel", "custom"]) == EXIT_USAGE
+
     def test_bad_graph_file_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from noisyqaoa import (
+    DensityMatrix,
     ExperimentConfig,
+    Gradient,
     QaoaParams,
     ResultTable,
+    StateVector,
     build_circuit,
     ci_cost,
     ci_gradient,
@@ -363,3 +366,24 @@ class TestLandscapeArgmin:
         ideal = landscape_argmin(single_edge)
         noisy = landscape_argmin(single_edge, make_channel("depolarizing", 0.05))
         assert noisy[2] > ideal[2]  # flattened minimum is less deep
+
+
+@pytest.mark.parametrize(
+    "make, frozen",
+    [
+        (lambda: make_channel("depolarizing", 0.1), True),
+        (lambda: QaoaParams([0.1, 0.2], [0.3, 0.4]), True),
+        (lambda: Gradient([0.1, 0.2], [0.3, 0.4]), True),
+        (lambda: StateVector(1, [1.0, 0.0]), False),
+        (lambda: DensityMatrix(1, np.eye(2) / 2), False),
+        (lambda: ResultTable(("p",), [(0.0,)], {"ci": np.zeros(2)}), False),
+    ],
+    ids=["NoiseChannel", "QaoaParams", "Gradient", "StateVector", "DensityMatrix", "ResultTable"],
+)
+def test_array_records_compare_by_identity(make, frozen):
+    # a field-wise == would compare numpy arrays and raise on their truth value
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    if frozen:
+        assert hash(a) == hash(a) and a in {a}

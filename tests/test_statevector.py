@@ -163,6 +163,19 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(basis_state(2, 0), mixer(3, np.pi / 2))
 
+    @pytest.mark.parametrize("gate", [mixer(1, 0.7), edge_gate(0, 2, -0.5, 0.9)], ids=["mixer", "edge"])
+    def test_apply_gate_leaves_its_input(self, gate, rng):
+        psi = random_state(3, rng)
+        before = psi.amplitudes.copy()
+        out = apply_gate(psi, gate)
+        assert np.array_equal(psi.amplitudes, before)
+        assert not np.array_equal(out.amplitudes, before)
+
+    @pytest.mark.parametrize("gate", [mixer(1, 0.7), edge_gate(0, 2, -0.5, 0.9)], ids=["mixer", "edge"])
+    def test_gate_on_works_in_place(self, gate, rng):
+        batch = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        assert gate_on(batch, gate, 3) is batch
+
     @given(m=st.integers(1, 4), q=st.integers(0, 3), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_norm_preserved_random_unitaries(self, m, q, seed):
@@ -198,7 +211,7 @@ class TestApplyGate:
                        for bi in (0, 1) for bj in (0, 1))
             gates.append((edge_gate(i, j, w, gamma), full))
         for gate, full in gates:
-            assert np.abs(gate_on(batch, gate, m) - batch @ full.T).max() < 1e-13
+            assert np.abs(gate_on(batch.copy(), gate, m) - batch @ full.T).max() < 1e-13
             psi = random_state(m, rng)
             out = apply_gate(psi, gate).amplitudes
             assert np.abs(out - full @ psi.amplitudes).max() < 1e-13
