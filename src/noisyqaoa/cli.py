@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import fields
 
@@ -31,6 +30,7 @@ from .experiments import (
 from .gradopt import exact_noisy_evaluator, gradient_descent, ideal_evaluator, random_init
 from .maxcut import (  # parse_graph and serialize_graph are re-exported
     GraphFormatError,
+    _json_object,
     brute_force_ground,
     load_graph,
     parse_graph,  # noqa: F401
@@ -49,16 +49,7 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 def parse_config(text: str) -> dict:
     """Parse a flat JSON run-config document; unknown keys are rejected."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise GraphFormatError("run config must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS)
-    if unknown:
-        raise GraphFormatError(f"unknown config keys: {sorted(unknown)}")
-    return doc
+    return _json_object(text, _CONFIG_FIELDS, "run config", "config")
 
 
 def _merge_settings(args) -> None:
@@ -217,7 +208,7 @@ def cmd_optimize(args) -> int:
         evaluator = ideal_evaluator(graph)
         label = "ideal"
     lr = settings.learning_rate
-    trace = gradient_descent(graph, init, evaluator, lr, settings.num_iters, grad_tol=1e-6)
+    trace = gradient_descent(graph, init, evaluator, lr, settings.num_iters)
     print(f"# {label} gradient descent, lr={lr}, n={args.n}")
     for it, rec in enumerate(trace.iterations):
         print(f"iter {it:4d}  cost {rec.cost:+.8f}  |grad| {rec.grad_norm:.3e}")

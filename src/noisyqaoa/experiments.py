@@ -24,7 +24,6 @@ import numpy as np
 
 from ._version import __version__
 from .gradopt import (
-    OptimizationTrace,
     cost_and_gradient,
     exact_noisy_evaluator,
     gradient_descent,
@@ -86,6 +85,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kind in _SCALAR_TYPES.items():
             _of_type(name, getattr(self, name), kind)
+        self.graph_source = os.fspath(self.graph_source)
         self.p_values = tuple(float(p) for p in _entries("p_values", self.p_values, Real))
         self.steps = tuple(int(n) for n in _entries("steps", self.steps, Integral))
         if self.shots < 1:
@@ -134,14 +134,16 @@ class ResultTable:
                 writer.writerow([_csv_cell(v) for v in row])
 
     def write_outputs(self, prefix) -> tuple[str, str]:
-        """Write <prefix>.csv and the <prefix>.json metadata sidecar."""
+        """Write <prefix>.csv and the <prefix>.json metadata sidecar. The
+        sidecar is encoded before either file is opened, so a value that
+        JSON cannot hold leaves no file behind."""
         csv_path, json_path = f"{prefix}.csv", f"{prefix}.json"
-        self.to_csv(csv_path)
         sidecar = dict(self.metadata)
         sidecar["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+        text = json.dumps(sidecar, indent=2, sort_keys=True, default=_jsonify)
+        self.to_csv(csv_path)
         with open(json_path, "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True, default=_jsonify)
-            fh.write("\n")
+            fh.write(text + "\n")
         return csv_path, json_path
 
 
@@ -164,21 +166,24 @@ def _sum_sq_weights(graph: WeightedGraph) -> float:
 
 
 def ci_cost(shots: int, graph: WeightedGraph) -> float:
-    """Worst-case 95% confidence-interval length for the sampled cost,
-    2 sqrt(sum_ij C_ij^2 / M)."""
+    """About a 95% half-width for the sampled cost: 2 sigma_max, with
+    sigma_max = sqrt(sum_ij C_ij^2 / M) the estimate's worst-case
+    standard deviation (a term's per-shot variance 4q(1-q) is at most 1)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return 2.0 * math.sqrt(_sum_sq_weights(graph) / shots)
 
 
 def ci_gradient(shots: int, graph: WeightedGraph, m: int) -> tuple[float, float]:
-    """Worst-case 95% CI lengths (L_gamma, L_beta) for sampled derivatives.
+    """The worst-case CI values (L_gamma, L_beta) for sampled derivatives.
 
     Implements the printed formulas verbatim:
     L_gamma = 2 sqrt(2/M) sum C_ij^2 (sum outside the root), and
-    L_beta = 2 sqrt(2 m sum C_ij^2 / M). Note L_gamma is dimensionally
-    inconsistent with ci_cost but reproduces the reference value 0.130
-    at M = 5000; L_beta evaluates to 0.1906 against a reported 0.186.
+    L_beta = 2 sqrt(2 m sum C_ij^2 / M). L_gamma / 2 and L_beta / 2 are
+    exactly the worst-case standard deviations of the shift-rule gamma
+    and beta derivatives, so each value, like ci_cost, is about a 95%
+    half-width. L_gamma reproduces the reference value 0.130 at
+    M = 5000; L_beta evaluates to 0.1906 against a reported 0.186.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -267,19 +272,12 @@ def _noisy_evaluator(graph: WeightedGraph, kind: str, p: float, mode: str, shots
     return exact_noisy_evaluator(graph, channel)
 
 
-def _descend(graph: WeightedGraph, init: QaoaParams, evaluator, learning_rate: float,
-             num_iters: int) -> OptimizationTrace:
-    """Every driver descent, ideal or noisy: stop once |grad| < 1e-6 or
-    after num_iters updates."""
-    return gradient_descent(graph, init, evaluator, learning_rate, num_iters, grad_tol=1e-6)
-
-
 def _ideal_descent(config: ExperimentConfig, graph: WeightedGraph, n: int) -> tuple:
     """The ideal descent at step count n from the init seeded by the
     master seed, as (init, trace); the cost, gradient and optimization
     experiments all start from it."""
     init = random_init(n, np.random.default_rng([config.seed, _STREAM_INIT, n]))
-    return init, _descend(graph, init, ideal_evaluator(graph), config.learning_rate, config.num_iters)
+    return init, gradient_descent(graph, init, ideal_evaluator(graph), config.learning_rate, config.num_iters)
 
 
 def ideal_optimized_params(config: ExperimentConfig, graph: WeightedGraph | None = None) -> dict:
@@ -341,14 +339,15 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
             },
         }
     )
-    return ResultTable(("p", "n", "N", "fidelity"), rows, meta)
+    return ResultTable(tuple(meta["columns"]), rows, meta)
 
 
 def run_cost_experiment(config: ExperimentConfig) -> ResultTable:
     """Noisy/ideal cost ratio y at the ideal-optimized parameters.
 
-    In sampled mode each noisy cost carries the ci_cost half-width. Rows
-    where the ideal cost is numerically zero are flagged (y undefined).
+    In sampled mode each noisy cost carries ci_half = ci_cost / 2, one
+    worst-case standard deviation of the estimate. Rows where the ideal
+    cost is numerically zero are flagged (y undefined).
     """
     graph = resolve_graph(config.graph_source)
     h = problem_hamiltonian(graph)
@@ -397,13 +396,11 @@ def run_cost_experiment(config: ExperimentConfig) -> ResultTable:
                 "f_ideal": "ideal cost at the same parameters",
                 "y": "f_noise / f_ideal (nan when flagged invalid)",
                 "y_valid": "1 unless the ideal cost is numerically zero",
-                "ci_half": "cost CI half-width (sampled mode only)",
+                "ci_half": "one worst-case standard deviation, ci_cost / 2 (sampled mode only)",
             },
         }
     )
-    return ResultTable(
-        ("p", "n", "N", "f_noise", "f_ideal", "y", "y_valid", "ci_half"), rows, meta
-    )
+    return ResultTable(tuple(meta["columns"]), rows, meta)
 
 
 def max_gradient_params(config: ExperimentConfig, graph: WeightedGraph, n: int) -> QaoaParams:
@@ -419,8 +416,9 @@ def run_gradient_experiment(
 
     Parameters default to the maximum-gradient iterate of the ideal
     descent at the largest configured n. Parameters whose ideal
-    derivative magnitude is below the sampling CI half-width are flagged
-    statistically unreliable in the metadata.
+    derivative magnitude is below one worst-case standard deviation of
+    its sampled estimate (L_gamma / 2 or L_beta / 2 of ci_gradient) are
+    flagged statistically unreliable in the metadata.
     """
     graph = resolve_graph(config.graph_source)
     m, E = graph.num_nodes, graph.num_edges
@@ -471,7 +469,7 @@ def run_gradient_experiment(
             },
         }
     )
-    return ResultTable(("p", "param", "d_ideal", "d_noise", "ratio"), rows, meta)
+    return ResultTable(tuple(meta["columns"]), rows, meta)
 
 
 def _optimization_cell(args) -> tuple:
@@ -479,7 +477,7 @@ def _optimization_cell(args) -> tuple:
     graph, channel_kind, p, init_gamma, init_beta, lr, iters, mode, shots, seed, n_idx, p_idx = args
     init = QaoaParams(np.asarray(init_gamma), np.asarray(init_beta))
     evaluator = _noisy_evaluator(graph, channel_kind, p, mode, shots, seed, n_idx, p_idx)
-    trace = _descend(graph, init, evaluator, lr, iters)
+    trace = gradient_descent(graph, init, evaluator, lr, iters)
     return trace.final_params.gamma, trace.final_params.beta, trace.final_cost
 
 
@@ -516,17 +514,17 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
             results = list(pool.map(_optimization_cell, jobs))
     else:
         results = [_optimization_cell(job) for job in jobs]
-    by_cell = {(job[2], job[10]): res for job, res in zip(jobs, results)}
+    by_cell = {(job[10], job[11]): res for job, res in zip(jobs, results)}
     rows = []
     for n_idx, n in enumerate(config.steps):
         ideal_trace = ideal_traces[n]
         ideal_params = ideal_trace.final_params
         N = n * (E + m)
-        for p in config.p_values:
+        for p_idx, p in enumerate(config.p_values):
             if p == 0.0:
                 noisy_params, noisy_cost = ideal_params, ideal_trace.final_cost
             else:
-                g, b, noisy_cost = by_cell[(p, n_idx)]
+                g, b, noisy_cost = by_cell[(n_idx, p_idx)]
                 noisy_params = QaoaParams(g, b)
             dist = param_distance(noisy_params, ideal_params)
             np_product = N * p
@@ -554,11 +552,7 @@ def run_optimization_experiment(config: ExperimentConfig) -> ResultTable:
             },
         }
     )
-    return ResultTable(
-        ("p", "n", "N", "Np", "distance", "ideal_cost", "noisy_cost", "in_scope"),
-        rows,
-        meta,
-    )
+    return ResultTable(tuple(meta["columns"]), rows, meta)
 
 
 EXPERIMENTS = {

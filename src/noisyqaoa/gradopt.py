@@ -208,13 +208,12 @@ def gradient_descent(
     evaluator: Evaluator,
     learning_rate: float,
     num_iters: int,
-    grad_tol: float = 0.0,
 ) -> OptimizationTrace:
     """Vanilla gradient descent: theta <- theta - lr * grad f.
 
-    Runs for num_iters updates, stopping early only when the gradient
-    norm falls below grad_tol (0 disables early stopping). The converged
-    flag reports whether the final gradient norm is below 1e-4.
+    Runs for num_iters updates, stopping early once the gradient norm
+    falls below 1e-6. The converged flag reports whether the final
+    gradient norm is below 1e-4.
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
@@ -231,7 +230,7 @@ def gradient_descent(
             )
         grad_norm = grad.norm()
         records.append(IterationRecord(params, cost, grad_norm))
-        if grad_norm < grad_tol:
+        if grad_norm < 1e-6:
             break
         params = QaoaParams(
             params.gamma - learning_rate * grad.d_gamma,

@@ -130,17 +130,25 @@ class GraphFormatError(ValueError):
     """Malformed or invalid graph document."""
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    """Parse and validate a JSON graph document."""
+def _json_object(text: str, keys, document: str, kind: str) -> dict:
+    """The JSON object in text, with no key outside keys. Malformed JSON,
+    a non-object and an unknown key are GraphFormatErrors, which name
+    the document ("graph document") or the kind of key ("graph")."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
-    unknown = set(doc) - {"nodes", "edges"}
+        raise GraphFormatError(f"{document} must be a JSON object")
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise GraphFormatError(f"unknown graph keys: {sorted(unknown)}")
+        raise GraphFormatError(f"unknown {kind} keys: {sorted(unknown)}")
+    return doc
+
+
+def parse_graph(text: str) -> WeightedGraph:
+    """Parse and validate a JSON graph document."""
+    doc = _json_object(text, ("nodes", "edges"), "graph document", "graph")
     if "nodes" not in doc or "edges" not in doc:
         raise GraphFormatError('graph document needs "nodes" and "edges"')
     if not isinstance(doc["nodes"], int):

@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .statevector import even_sector
+
 CPTP_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
@@ -76,8 +78,6 @@ class NoiseChannel:
         coefficients applies R on qubit q; else None. Built once per m."""
         cache = self._ptm_scales_by_size
         if m not in cache:
-            from .statevector import even_sector  # statevector imports this module
-
             d = np.diag(self.ptm)
             cache[m] = None
             if not np.any(self.ptm - np.diag(d)):

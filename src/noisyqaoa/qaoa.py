@@ -498,8 +498,7 @@ def cost_sampled(
         t = np.moveaxis(pr.reshape((shots,) + (2,) * m), (1 + m - 1 - i, 1 + m - 1 - j), (1, 2))
         probs4 = t.reshape(shots, 4, -1).sum(axis=2)
         u = rng.random(shots)
-        outcomes = (u[:, None] >= np.cumsum(probs4, axis=1)).sum(axis=1)
-        np.clip(outcomes, 0, 3, out=outcomes)
+        outcomes = _select_branches(probs4.T, u)
         p_ij = float(np.mean((outcomes == 0) | (outcomes == 3)))
         per_edge.append(((i, j), p_ij))
         estimate += w * (2.0 * p_ij - 1.0)

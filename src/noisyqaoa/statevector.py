@@ -34,9 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .noise import NoiseChannel
-
-if TYPE_CHECKING:  # qaoa imports this module
+if TYPE_CHECKING:  # noise and qaoa import this module
+    from .noise import NoiseChannel
     from .qaoa import QaoaGate
 
 MAX_PURE_QUBITS = 24

@@ -144,6 +144,12 @@ class TestExperimentConfig:
         monkeypatch.delenv(THREADS_ENV_VAR)
         assert ExperimentConfig(threads=2).worker_count() == 2
 
+    def test_path_graph_source_is_stored_as_text(self, tmp_path):
+        # the config is echoed into the JSON sidecar, which holds no Path
+        path = tmp_path / "g.json"
+        cfg = ExperimentConfig(graph_source=path)
+        assert cfg.graph_source == str(path) and type(cfg.graph_source) is str
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
     def test_worker_count_rejects_bad_env(self, monkeypatch, value):
         monkeypatch.setenv(THREADS_ENV_VAR, value)
@@ -184,6 +190,12 @@ class TestResultTable:
         assert meta["seed"] == 7
         assert "generated_at" in meta
 
+    def test_write_outputs_writes_nothing_it_cannot_encode(self, tmp_path):
+        t = ResultTable(("p",), [(0.0,)], {"source": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            t.write_outputs(tmp_path / "demo")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestResolveGraph:
     def test_builtin_name(self, table1):
@@ -218,6 +230,12 @@ def gradient_table():
 def optimization_table():
     cfg = ExperimentConfig(p_values=(0.0, 0.01), steps=(1,), seed=7)
     return run_optimization_experiment(cfg)
+
+
+@pytest.mark.parametrize("name", ["fidelity_table", "cost_table", "gradient_table", "optimization_table"])
+def test_columns_are_the_described_ones(name, request):
+    table = request.getfixturevalue(name)
+    assert table.columns == tuple(table.metadata["columns"])
 
 
 class TestFidelityExperiment:
@@ -346,6 +364,17 @@ class TestOptimizationExperiment:
         assert calls == [2, 2, 1, 1]
         assert [row[:2] for row in table.rows] == [(p, n) for n in (1, 2) for p in (0.0, 0.01, 0.02)]
         assert [row[6] for row in table.rows if row[0] > 0] == [1.0, 1.0, 2.0, 2.0]
+
+    def test_repeated_strength_keeps_each_cell(self, monkeypatch):
+        # two cells at the same p draw from their own substreams, so each
+        # row reports its own descent
+        def cell(args):
+            return args[3], args[4], float(args[11])
+
+        monkeypatch.setattr(experiments, "_optimization_cell", cell)
+        cfg = ExperimentConfig(steps=(1,), p_values=(0.01, 0.01), num_iters=3, threads=1)
+        table = run_optimization_experiment(cfg)
+        assert [row[6] for row in table.rows] == [0.0, 1.0]
 
 
 class TestLandscapeArgmin:
