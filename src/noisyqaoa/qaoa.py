@@ -381,6 +381,59 @@ def _sample_kraus_batch(
     return (out / nrm[:, None, None, None]).reshape(T, -1)
 
 
+def _fault_events(weights: np.ndarray, faults: list, uniforms: np.ndarray) -> list:
+    """Per noise event, in order, the (rows, branches) of the uniforms whose
+    branch under _select_branches(weights[:, None, None], uniforms) is a
+    fault. Only those outside the first identity branch's cdf interval
+    (u >= w_0 when it comes first), or all with no identity branch, go
+    through _select_branches."""
+    u, cdf = uniforms.T, np.concatenate([[0.0], np.cumsum(weights)])
+    i = next((l for l in range(len(weights)) if l not in faults), None)
+    moved = np.ones(u.shape, dtype=bool) if i is None else (u >= cdf[i + 1]) | (u < cdf[i])
+    cols, rows = np.nonzero(moved)
+    branches = _select_branches(weights[:, None], u[cols, rows])
+    keep = np.isin(branches, faults)
+    cuts = np.searchsorted(cols[keep], np.arange(1, len(u)))
+    return list(zip(np.split(rows[keep], cuts), np.split(branches[keep], cuts)))
+
+
+def _trajectory_tree(circuit: GateSequence, channel: NoiseChannel, uniforms: np.ndarray) -> tuple:
+    """(states, index), with trajectory t ending in states[index[t]] (see
+    trajectory_states)."""
+    m, T = circuit.num_qubits, len(uniforms)
+    mixture = channel.unitary_mixture
+    if mixture is None:
+        states = np.full((T, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
+        columns = iter(uniforms.T)
+        for gate in circuit.gates:
+            gate_on(states, gate, m)
+            for q, r in zip(gate.targets, columns):
+                states = _sample_kraus_batch(states, channel, q, r, m)
+        return states, np.arange(T)
+    weights, unitaries = mixture
+    faults = [l for l, U in enumerate(unitaries) if np.abs(U - np.eye(2)).max() > CPTP_TOL]
+    events = _fault_events(weights, faults, uniforms)
+    # a fault adds at most one state; compacted, the buffer holds at most T
+    # states, and one event adds at most T
+    states = np.empty((1 + min(sum(rows.size for rows, _ in events), 2 * T), 1 << m), dtype=complex)
+    states[0] = 2.0 ** (-m / 2.0)
+    index, size, events = np.zeros(T, dtype=np.intp), 1, iter(events)
+    for gate in circuit.gates:
+        gate_on(states[:size], gate, m)
+        for q, (moving, picks) in zip(gate.targets, events):
+            for l in faults if moving.size else ():
+                rows = moving[picks == l]
+                if size + rows.size > len(states):  # drop the states no row points at
+                    live, index = np.unique(index, return_inverse=True)
+                    states[:live.size], size = states[live], live.size
+                parents, inverse = np.unique(index[rows], return_inverse=True)
+                states[size:size + parents.size] = apply_1q(states[parents], unitaries[l], q)
+                index[rows] = size + inverse
+                size += parents.size
+    live, index = np.unique(index, return_inverse=True)
+    return states[live], index
+
+
 def trajectory_states(
     circuit: GateSequence,
     channel: NoiseChannel,
@@ -401,14 +454,17 @@ def trajectory_states(
     A unitary-mixture channel (every K_i^dag K_i = w_i I, as for
     dephasing, bit-flip, depolarizing and such custom sets) has branch
     probabilities w_i that do not depend on the state. For it every
-    branch is picked up front from the fixed cdf of the w_i, all
-    trajectories that pick only identity branches share one ideal state,
-    and the rest evolve as one batch with K_l / sqrt(w_l) applied where
-    the branch is not the identity. Any other channel (amplitude damping,
-    say) draws each branch from the state's own probabilities and
-    renormalizes.
+    branch is picked up front from the fixed cdf of the w_i, and a
+    trajectory's state depends only on its history of non-identity
+    branches (faults). The trajectories evolve as a tree of shared
+    prefixes: all start on one ideal state, each gate runs once per
+    distinct state, and at a noise event only the rows with a fault
+    there move, onto one copy of their parent state per (parent, branch)
+    with K_l / sqrt(w_l) applied. The kernels act on each row alone, so
+    every row is bit-equal to its own evolution from the start. Any
+    other channel (amplitude damping, say) draws each branch from the
+    state's own probabilities and renormalizes, one row per trajectory.
     """
-    m = circuit.num_qubits
     events = noise_event_count(circuit)
     if uniforms is None:
         if seed is None:
@@ -418,36 +474,8 @@ def trajectory_states(
             uniforms[t] = np.random.default_rng([seed, t]).random(events)
     elif uniforms.shape != (num_traj, events):
         raise ValueError(f"uniform matrix has shape {uniforms.shape}, expected ({num_traj}, {events})")
-    mixture = channel.unitary_mixture
-    if mixture is None:
-        states = np.full((num_traj, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
-        col = 0
-        for gate in circuit.gates:
-            gate_on(states, gate, m)
-            for q in gate.targets:
-                states = _sample_kraus_batch(states, channel, q, uniforms[:, col], m)
-                col += 1
-        return states
-    weights, unitaries = mixture
-    faults = [l for l, U in enumerate(unitaries) if np.abs(U - np.eye(2)).max() > CPTP_TOL]
-    branches = _select_branches(weights[:, None, None], uniforms)
-    faulty = np.flatnonzero(np.isin(branches, faults).any(axis=1))
-    # row 0 stands for every error-free trajectory
-    picks = np.vstack([np.full(events, -1), branches[faulty]])
-    states = np.full((len(picks), 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
-    col = 0
-    for gate in circuit.gates:
-        gate_on(states, gate, m)
-        for q in gate.targets:
-            for l in faults:
-                rows = np.flatnonzero(picks[:, col] == l)
-                if rows.size:
-                    states[rows] = apply_1q(states[rows], unitaries[l], q)
-            col += 1
-    out = np.empty((num_traj, 1 << m), dtype=complex)
-    out[:] = states[0]
-    out[faulty] = states[1:]
-    return out
+    states, index = _trajectory_tree(circuit, channel, uniforms)
+    return states[index]
 
 
 def output_fidelity(ideal: StateVector, noisy: DensityMatrix) -> float:
@@ -484,6 +512,8 @@ def cost_sampled(
     For each ZZ term, runs `shots` trajectories, samples one two-qubit
     outcome per run and accumulates C_ij (2 p_ij - 1) with
     p_ij = phat00 + phat11. Returns (estimate, [((i, j), p_ij), ...]).
+    A term's trajectories evolve on trajectory_states' tree of shared
+    fault prefixes, with one (i, j) marginal per distinct final state.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -492,13 +522,11 @@ def cost_sampled(
     estimate = 0.0
     per_edge = []
     for i, j, w in h.terms:
-        R = rng.random((shots, events))
-        states = trajectory_states(circuit, channel, shots, uniforms=R)
+        states, index = _trajectory_tree(circuit, channel, rng.random((shots, events)))
         pr = np.abs(states) ** 2
-        t = np.moveaxis(pr.reshape((shots,) + (2,) * m), (1 + m - 1 - i, 1 + m - 1 - j), (1, 2))
-        probs4 = t.reshape(shots, 4, -1).sum(axis=2)
-        u = rng.random(shots)
-        outcomes = _select_branches(probs4.T, u)
+        t = np.moveaxis(pr.reshape((-1,) + (2,) * m), (m - i, m - j), (1, 2))
+        probs4 = t.reshape(len(states), 4, -1).sum(axis=2)
+        outcomes = _select_branches(probs4[index].T, rng.random(shots))
         p_ij = float(np.mean((outcomes == 0) | (outcomes == 3)))
         per_edge.append(((i, j), p_ij))
         estimate += w * (2.0 * p_ij - 1.0)

@@ -37,15 +37,18 @@ EXACT = {
     "optimization": run_optimization_experiment,
 }
 # the column of shot-count estimates in each sampled table
-SAMPLED_ESTIMATE = {"sampled-cost": "f_noise", "sampled-gradient": "d_noise",
+SAMPLED_ESTIMATE = {"sampled-cost": "f_noise", "sampled-cost-2000": "f_noise", "sampled-gradient": "d_noise",
                     "sampled-optimization": "noisy_cost"}
 # the sampled gradient and optimization drivers, one channel each (sized
-# to run in about a second)
+# to run in about a second), and the sampled cost at 2000 shots, where
+# many trajectories share a fault history
 SAMPLED_DRIVERS = {
     "sampled-gradient/depolarizing": (run_gradient_experiment, dict(
         channel="depolarizing", p_values=(0.0, 0.01, 0.05), num_iters=100)),
     "sampled-optimization/bitflip": (run_optimization_experiment, dict(
         channel="bitflip", p_values=(0.0, 0.02), num_iters=2)),
+    "sampled-cost-2000/depolarizing": (run_cost_experiment, dict(
+        channel="depolarizing", steps=(1, 2), p_values=(0.0, 0.02, 0.2), num_iters=100, shots=2000)),
 }
 TOL = 1e-12
 
@@ -65,7 +68,7 @@ def golden_tables() -> dict:
         table = run_cost_experiment(config(channel, mode="sampled", shots=200))
         out[f"sampled-cost/{channel}"] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
     for name, (run, kw) in SAMPLED_DRIVERS.items():
-        table = run(ExperimentConfig(steps=(1,), mode="sampled", shots=20, threads=1, **kw))
+        table = run(ExperimentConfig(**{"steps": (1,), "shots": 20, **kw}, mode="sampled", threads=1))
         out[name] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
     cfg = config(CHANNELS[0])
     out["ideal_descent_iterations"] = {
