@@ -1,9 +1,11 @@
 """Noisy-QAOA simulation laboratory.
 
-A dense statevector / density-matrix simulator for QAOA on weighted
-Max-Cut instances, with single-qubit Kraus noise channels, Monte-Carlo
-trajectory sampling, parameter-shift gradients and batch experiment
-drivers with exponential-decay fitting.
+A simulator for QAOA on weighted Max-Cut instances with single-qubit
+Kraus noise channels: exact noisy evolution on the state's Pauli
+coefficients, Monte-Carlo trajectory sampling, adjoint and
+parameter-shift gradients, and batch experiment drivers with
+exponential-decay fitting. The reference implementations that the tests
+compare it against live in tests/oracles.py, not here.
 """
 
 from .statevector import (
@@ -12,10 +14,6 @@ from .statevector import (
     SimulationError,
     plus_state,
     apply_gate,
-    apply_kraus_exact,
-    sample_kraus,
-    pure_fidelity,
-    measurement_probabilities,
 )
 from .noise import NoiseChannel, make_channel, custom_channel, validate_cptp, noise_grid
 from .maxcut import (
@@ -34,9 +32,7 @@ from .qaoa import (
     with_shifted_gate,
     run_ideal,
     run_exact_noisy,
-    run_trajectory,
     trajectory_states,
-    output_fidelity,
     cost_exact,
     cost_sampled,
 )
@@ -47,8 +43,6 @@ from .gradopt import (
     exact_noisy_evaluator,
     sampled_evaluator,
     cost_and_gradient,
-    shifted_evaluation_gradient,
-    finite_difference_gradient,
     gradient_descent,
     random_init,
     param_distance,

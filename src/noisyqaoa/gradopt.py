@@ -1,5 +1,5 @@
-"""Shift-rule gradients, finite-difference oracle, vanilla gradient
-descent, and the optimized-parameter distance metric.
+"""Evaluators, shift-rule gradients, vanilla gradient descent, and the
+optimized-parameter distance metric.
 
 The shift rule is per-gate: each parameter's derivative is a sum over
 the gates depending on it, each contributing a scaled difference of
@@ -7,8 +7,8 @@ cost evaluations with only that gate's angle shifted. For an edge gate
 exp(-i gamma C ZZ) the exact rule is C * [f(+pi/(4C)) - f(-pi/(4C))];
 for a mixer gate exp(+i beta X) it is f(+pi/4) - f(-pi/4). Both follow
 from d/dtheta <H> = [<H>(theta + pi/4) - <H>(theta - pi/4)] for any
-involutory generator, and are validated against central finite
-differences (the binding contract).
+involutory generator; the tests check them against central finite
+differences of a dense oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -144,13 +144,6 @@ def _shifted_gradient(seq: GateSequence, n: int, evaluator: Evaluator) -> Gradie
     return Gradient(grads["gamma"], grads["beta"])
 
 
-def shifted_evaluation_gradient(
-    graph: WeightedGraph, params: QaoaParams, evaluator: Evaluator
-) -> Gradient:
-    """Per-gate shift-rule gradient built from 2N shifted cost evaluations."""
-    return _shifted_gradient(build_circuit(graph, params), params.n, evaluator)
-
-
 def cost_and_gradient(
     graph: WeightedGraph, params: QaoaParams, evaluator: Evaluator
 ) -> tuple[float, Gradient]:
@@ -170,36 +163,6 @@ def cost_and_gradient(
         return cost, Gradient(dg, db)
     cost = evaluator(seq)
     return cost, _shifted_gradient(seq, params.n, evaluator)
-
-
-def finite_difference_gradient(
-    graph: WeightedGraph,
-    params: QaoaParams,
-    step: float = 1e-5,
-    evaluator: Evaluator | None = None,
-) -> Gradient:
-    """Central-difference oracle [f(t+h) - f(t-h)] / 2h, ideal cost by default."""
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
-    if evaluator is None:
-        evaluator = ideal_evaluator(graph)
-
-    def cost_at(gamma, beta):
-        return evaluator(build_circuit(graph, QaoaParams(gamma, beta)))
-
-    n = params.n
-    d_gamma = np.zeros(n)
-    d_beta = np.zeros(n)
-    for k in range(n):
-        gp, gm = params.gamma.copy(), params.gamma.copy()
-        gp[k] += step
-        gm[k] -= step
-        d_gamma[k] = (cost_at(gp, params.beta) - cost_at(gm, params.beta)) / (2.0 * step)
-        bp, bm = params.beta.copy(), params.beta.copy()
-        bp[k] += step
-        bm[k] -= step
-        d_beta[k] = (cost_at(params.gamma, bp) - cost_at(params.gamma, bm)) / (2.0 * step)
-    return Gradient(d_gamma, d_beta)
 
 
 def gradient_descent(

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .statevector import DensityMatrix, StateVector, _bit
+from .statevector import StateVector, _bit
 
 MAX_BRUTE_FORCE_QUBITS = 24
 
@@ -94,17 +94,11 @@ def energy_of_bitstring(h: ProblemHamiltonian, bits) -> float:
     return float(sum(w * z[i] * z[j] for i, j, w in h.terms))
 
 
-def exact_expectation(state, h: ProblemHamiltonian) -> float:
-    """<H_p> for a StateVector (sum |amp|^2 E) or DensityMatrix (Tr rho H)."""
+def exact_expectation(state: StateVector, h: ProblemHamiltonian) -> float:
+    """<H_p> of a pure state: sum |amp|^2 E."""
     if state.num_qubits != h.num_qubits:
         raise ValueError("state and Hamiltonian dimensions differ")
-    if isinstance(state, DensityMatrix):
-        pr = np.diagonal(state.entries).real
-    elif isinstance(state, StateVector):
-        pr = np.abs(state.amplitudes) ** 2
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    return float(pr @ h.energies)
+    return float((np.abs(state.amplitudes) ** 2) @ h.energies)
 
 
 def index_to_bits(x: int, m: int) -> tuple:

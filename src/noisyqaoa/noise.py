@@ -99,10 +99,6 @@ class NoiseChannel:
         unitaries = tuple(K / np.sqrt(w) if w > 0.0 else K for K, w in zip(self.kraus, weights))
         return weights, unitaries
 
-    @property
-    def num_operators(self) -> int:
-        return len(self.kraus)
-
 
 def cptp_residual(kraus: Sequence[np.ndarray]) -> float:
     """Max-entry magnitude of sum_i K_i^dag K_i - I."""

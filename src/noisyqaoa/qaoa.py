@@ -40,7 +40,6 @@ from .statevector import (
     SimulationError,
     StateVector,
     apply_1q,
-    apply_gate,
     apply_ptm,
     bit_flips,
     even_sector,
@@ -50,7 +49,6 @@ from .statevector import (
     plus_state,
     rotate_pairs,
     rotation_pairs,
-    sample_kraus,
     sector_position,
     zz_parities,
 )
@@ -242,11 +240,12 @@ def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatr
 
 
 def _fidelities(circuit: GateSequence, kind: str, p_values) -> list:
-    """output_fidelity(run_ideal(circuit), run_exact_noisy(circuit, channel))
-    for the named channel kind at each strength p, with no density matrix:
-    F = Tr(rho sigma) = 2^-m r . s, with r the noisy sweep's coefficients
-    and s those of the ideal output, the same sweep at p = 0. A named
-    channel is a Pauli channel, so r and s are both even-sector arrays."""
+    """The fidelity <phi|rho|phi> of run_exact_noisy(circuit, channel) to
+    run_ideal(circuit) for the named channel kind at each strength p, with
+    no density matrix: F = Tr(rho sigma) = 2^-m r . s, with r the noisy
+    sweep's coefficients and s those of the ideal output, the same sweep
+    at p = 0. A named channel is a Pauli channel, so r and s are both
+    even-sector arrays."""
     s = _noisy_sweep(circuit, make_channel(kind, 0.0)).r
     scale = 0.5 ** circuit.num_qubits
     return [scale * float(np.einsum("i,i->", _noisy_sweep(circuit, make_channel(kind, p)).r, s))
@@ -326,33 +325,17 @@ def adjoint_gradient_noisy(
     return sweep.cost(h), grads["gamma"], grads["beta"]
 
 
-def run_trajectory(circuit: GateSequence, channel: NoiseChannel, rng) -> StateVector:
-    """One Monte-Carlo trajectory: sample a Kraus branch per touched qubit.
-
-    Consumes exactly one uniform from `rng` per noise event, in gate
-    order then target order, so a trajectory is bitwise reproducible
-    from its seed and matches the batched kernel row-for-row.
-    """
-    state = plus_state(circuit.num_qubits)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-        for q in gate.targets:
-            state, _ = sample_kraus(state, channel, q, rng.random())
-    return state
-
-
 def noise_event_count(circuit: GateSequence) -> int:
     """Number of uniforms one trajectory consumes (sum of gate arities)."""
     return sum(len(g.targets) for g in circuit.gates)
 
 
 def _select_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Branch index for each uniform r, by the rule of sample_kraus.
-
-    probs holds the branch probabilities on its first axis and broadcasts
-    against r. Branch l is the first whose cumulative probability exceeds
-    r; when rounding leaves r at or above the total, the last branch of
-    nonzero probability is taken.
+    """Branch index for each uniform r: the first branch whose cumulative
+    probability exceeds r (r = 0 selects the first), or, when rounding
+    leaves r at or above the total, the last branch of nonzero
+    probability. probs holds the branch probabilities on its first axis
+    and broadcasts against r.
     """
     k = len(probs)
     chosen = (r >= np.cumsum(probs, axis=0)).sum(axis=0)
@@ -443,12 +426,11 @@ def trajectory_states(
 ) -> np.ndarray:
     """Final pure states of num_traj independent trajectories, shape (T, 2^m).
 
-    Each trajectory t consumes the uniform stream derived from
-    (seed, t), identical to run_trajectory with rng =
-    np.random.default_rng([seed, t]); alternatively a pre-drawn
-    (T, events) uniform matrix may be supplied. The uniform r of a noise
-    event picks its Kraus branch as sample_kraus does: the first branch
-    whose cumulative probability exceeds r, or the last branch of nonzero
+    The uniforms are a pre-drawn (T, events) matrix, or
+    np.random.default_rng(seed).random((T, events)): row t holds
+    trajectory t's, one per noise event in gate order, then target order.
+    The uniform r of a noise event picks the first Kraus branch whose
+    cumulative probability exceeds r, or the last branch of nonzero
     probability when rounding leaves r at or above the total.
 
     A unitary-mixture channel (every K_i^dag K_i = w_i I, as for
@@ -469,26 +451,11 @@ def trajectory_states(
     if uniforms is None:
         if seed is None:
             raise ValueError("need either a seed or a uniform matrix")
-        uniforms = np.empty((num_traj, events))
-        for t in range(num_traj):
-            uniforms[t] = np.random.default_rng([seed, t]).random(events)
+        uniforms = np.random.default_rng(seed).random((num_traj, events))
     elif uniforms.shape != (num_traj, events):
         raise ValueError(f"uniform matrix has shape {uniforms.shape}, expected ({num_traj}, {events})")
     states, index = _trajectory_tree(circuit, channel, uniforms)
     return states[index]
-
-
-def output_fidelity(ideal: StateVector, noisy: DensityMatrix) -> float:
-    """<phi|rho|phi> between a pure reference and a mixed output."""
-    if ideal.num_qubits != noisy.num_qubits:
-        raise ValueError("state dimensions differ")
-    v = ideal.amplitudes
-    # elementwise: a matrix-vector product here runs on a second BLAS
-    # thread that only spins
-    f = np.einsum("i,ij,j->", v.conj(), noisy.entries, v)
-    if abs(f.imag) > 1e-10:
-        raise SimulationError(f"fidelity has imaginary residue {f.imag:.3e}")
-    return float(f.real)
 
 
 def cost_exact(

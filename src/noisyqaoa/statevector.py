@@ -1,4 +1,5 @@
-"""Dense pure-state and density-matrix simulation kernel.
+"""Simulation kernels: pure states in place, exact noisy states as Pauli
+coefficients.
 
 Qubit ordering is little-endian: qubit 0 is the least significant bit of
 the amplitude index. For an array reshaped to [2]*m the axis of qubit q
@@ -34,8 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # noise and qaoa import this module
-    from .noise import NoiseChannel
+if TYPE_CHECKING:  # qaoa imports this module
     from .qaoa import QaoaGate
 
 MAX_PURE_QUBITS = 24
@@ -64,14 +64,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
-    def projector(self) -> "DensityMatrix":
-        """|phi><phi| as a DensityMatrix."""
-        a = self.amplitudes
-        return DensityMatrix(self.num_qubits, np.outer(a, a.conj()))
-
 
 @dataclass(eq=False)
 class DensityMatrix:
@@ -87,12 +79,6 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix has shape {self.entries.shape}, expected ({dim}, {dim})"
             )
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.num_qubits, self.entries.copy())
 
 
 def plus_state(m: int) -> StateVector:
@@ -115,11 +101,6 @@ def _bit(m: int, q: int) -> np.ndarray:
     bits = (np.arange(1 << m) >> q) & 1
     bits.setflags(write=False)
     return bits
-
-
-def apply_gate(state: StateVector, gate: QaoaGate) -> StateVector:
-    """Apply a QAOA gate to a copy of the state; norm is preserved to 1e-10 (unitary)."""
-    return StateVector(state.num_qubits, gate_on(state.amplitudes.copy(), gate, state.num_qubits))
 
 
 def apply_1q(arr: np.ndarray, M: np.ndarray, bit: int) -> np.ndarray:
@@ -194,42 +175,6 @@ def gate_on(psi: np.ndarray, gate: QaoaGate, m: int) -> np.ndarray:
     else:
         mix(psi, bit_flips(m, (gate.targets,)), (gate.angle,))
     return psi
-
-
-def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.ndarray:
-    """Apply a 4x4 superoperator to one qubit of a 2^m x 2^m matrix rho,
-    indexed (row bit, col bit) on both sides, as one elementwise
-    contraction with no BLAS call; the result is a new array."""
-    hi, lo = 1 << (m - 1 - qubit), 1 << qubit
-    t = rho.reshape(hi, 2, lo * hi, 2, lo)
-    return np.einsum("uvxy,ixjyl->iujvl", S.reshape(2, 2, 2, 2), t).reshape(rho.shape)
-
-
-# no caller in the package; the benchmark's tracer looks them up by
-# name until its refresh (ROADMAP item 1) frees them
-
-
-def expand_diag(m: int, targets, diag4: np.ndarray) -> np.ndarray:
-    """Lift a two-qubit diagonal (indexed 2*b_i + b_j) to the full register."""
-    i, j = targets
-    return np.asarray(diag4)[2 * _bit(m, i) + _bit(m, j)]
-
-
-def mul_left_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
-    """M acting on the row index of a 2^m x 2^m array at one qubit."""
-    return apply_1q(arr, M, qubit + m)
-
-
-def mul_right_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
-    """out_rc = sum_c' arr_rc' M_c'c with M acting on one qubit of the column."""
-    return apply_1q(arr, M.T, qubit)
-
-
-def apply_kraus_exact(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> DensityMatrix:
-    """Exact channel action sum_i (K_i x I) rho (K_i x I)^dag on one qubit."""
-    m = rho.num_qubits
-    _check_targets(m, (qubit,))
-    return DensityMatrix(m, apply_superop_1q(rho.entries, channel.superop, qubit, m))
 
 
 def _odd(f: np.ndarray, m: int) -> np.ndarray:
@@ -339,68 +284,39 @@ def pauli_to_density(r: np.ndarray, m: int) -> np.ndarray:
     return t.reshape((2,) * (2 * m)).transpose(order).reshape(1 << m, 1 << m)
 
 
-def _reduced_gram(psi: np.ndarray, qubit: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """View amplitudes as (2, rest) over one qubit; also return its 2x2 Gram."""
-    t = np.moveaxis(psi.reshape((2,) * m), m - 1 - qubit, 0)
-    rest = t.shape[1:]
-    v = t.reshape(2, -1)
-    return v, v @ v.conj().T, rest
+# Held for the benchmark alone, until its refresh (ROADMAP item 1) frees
+# them: its tracer wraps apply_gate, apply_superop_1q, expand_diag,
+# mul_left_1q and mul_right_1q below, none of which the package calls,
+# and its set-up and warm-ups call NoiseChannel.superop and
+# superop_adjoint, qaoa.run_exact_noisy (with DensityMatrix and
+# pauli_to_density above) and qaoa.trajectory_states.
 
 
-def sample_kraus(
-    state: StateVector, channel: NoiseChannel, qubit: int, r: float
-) -> tuple[StateVector, int]:
-    """One Monte-Carlo trajectory step on one qubit.
-
-    Branch probabilities are p_i = <phi|K_i^dag K_i|phi>; the branch l is
-    the first with cumulative probability exceeding r (r = 0 selects the
-    first branch). Returns the renormalized K_l|phi> and l (0-based).
-    """
-    m = state.num_qubits
-    _check_targets(m, (qubit,))
-    v, sigma, rest = _reduced_gram(state.amplitudes, qubit, m)
-    probs = np.array([np.trace(M @ sigma).real for M in channel.povm])
-    total = probs.sum()
-    if total <= 1e-12:
-        raise SimulationError("all Kraus branch probabilities vanished")
-    cdf = np.cumsum(probs)
-    l = int(np.searchsorted(cdf, r, side="right"))
-    if l >= len(probs):
-        nz = np.flatnonzero(probs > 1e-15)
-        if nz.size == 0:
-            raise SimulationError("all Kraus branch probabilities vanished")
-        l = int(nz[-1])
-    w = channel.kraus[l] @ v
-    nrm = np.linalg.norm(w)
-    if nrm <= 1e-12:
-        raise SimulationError(f"selected Kraus branch {l} annihilated the state")
-    w = w / nrm
-    out = np.moveaxis(w.reshape((2,) + rest), 0, m - 1 - qubit).reshape(-1)
-    return StateVector(m, out), l
+def apply_gate(state: StateVector, gate: QaoaGate) -> StateVector:
+    """Apply a QAOA gate to a copy of the state; norm is preserved to 1e-10 (unitary)."""
+    return StateVector(state.num_qubits, gate_on(state.amplitudes.copy(), gate, state.num_qubits))
 
 
-def pure_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for two pure states of equal dimension."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("state dimensions differ")
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+def apply_superop_1q(rho: np.ndarray, S: np.ndarray, qubit: int, m: int) -> np.ndarray:
+    """Apply a 4x4 superoperator to one qubit of a 2^m x 2^m matrix rho,
+    indexed (row bit, col bit) on both sides, as one elementwise
+    contraction with no BLAS call; the result is a new array."""
+    hi, lo = 1 << (m - 1 - qubit), 1 << qubit
+    t = rho.reshape(hi, 2, lo * hi, 2, lo)
+    return np.einsum("uvxy,ixjyl->iujvl", S.reshape(2, 2, 2, 2), t).reshape(rho.shape)
 
 
-def measurement_probabilities(state, qubits) -> tuple[float, float, float, float]:
-    """Computational-basis marginal (p00, p01, p10, p11) over a qubit pair.
+def expand_diag(m: int, targets, diag4: np.ndarray) -> np.ndarray:
+    """Lift a two-qubit diagonal (indexed 2*b_i + b_j) to the full register."""
+    i, j = targets
+    return np.asarray(diag4)[2 * _bit(m, i) + _bit(m, j)]
 
-    The first subscript is the bit of qubits[0], the second of qubits[1].
-    Accepts a StateVector or DensityMatrix.
-    """
-    i, j = qubits
-    if i == j:
-        raise ValueError("measurement qubits must be distinct")
-    m = state.num_qubits
-    _check_targets(m, (i, j))
-    if isinstance(state, DensityMatrix):
-        pr = np.diagonal(state.entries).real.copy()
-    else:
-        pr = np.abs(state.amplitudes) ** 2
-    t = np.moveaxis(pr.reshape((2,) * m), (m - 1 - i, m - 1 - j), (0, 1))
-    p = t.reshape(4, -1).sum(axis=1)
-    return tuple(float(x) for x in p)
+
+def mul_left_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
+    """M acting on the row index of a 2^m x 2^m array at one qubit."""
+    return apply_1q(arr, M, qubit + m)
+
+
+def mul_right_1q(arr: np.ndarray, M: np.ndarray, qubit: int, m: int) -> np.ndarray:
+    """out_rc = sum_c' arr_rc' M_c'c with M acting on one qubit of the column."""
+    return apply_1q(arr, M.T, qubit)

@@ -4,18 +4,23 @@ bench/tracer.py wraps the functions listed in its KERNELS and SPANS
 tables, and bench/run.py and the tracer's capture call a few more by
 name. A change that deletes or renames one of them breaks the benchmark;
 this test makes it fail the tier-1 suite too. The tables are read from
-the tracer module, never edited here.
+the tracer module, never edited here, and bench/run.py's own set-up runs
+in a separate process, as the benchmark runs it.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import noisyqaoa
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -47,6 +52,7 @@ def test_traced_layer_resolves(home, name):
     "home, name",
     [
         # bench/run.py
+        ("experiments", "resolve_graph"),
         ("gradopt", "exact_noisy_evaluator"),
         ("gradopt", "IdealEvaluator"),
         # the tracer's capture, installed in every benchmark run
@@ -64,3 +70,23 @@ def test_channel_superoperators_resolve():
     channel = noisyqaoa.make_channel("depolarizing", 0.01)
     assert channel.superop.shape == (4, 4)
     assert channel.superop_adjoint.shape == (4, 4)
+
+
+def test_benchmark_setup_runs():
+    # setup() of every workload: the package import, resolve_graph("table1"),
+    # the channels with both superoperators, and the warm-ups, among them
+    # qaoa.run_exact_noisy(circuit, channel) and
+    # qaoa.trajectory_states(circuit, channel, 200, seed=seed); in its own
+    # process, because setup() re-imports the package
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(ROOT / 'src')!r}]\n"
+        "import run\n"
+        "for cls in run.WORKLOADS.values():\n"
+        "    seconds, wl = run.setup(cls, 5, False)\n"
+        "    print(wl.name, seconds)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert {w["name"] for w in spec["workloads"]} <= {line.split()[0] for line in proc.stdout.splitlines()}

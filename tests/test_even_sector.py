@@ -7,7 +7,8 @@ with an odd count of Y/Z digits. For a Pauli channel the sweep holds only
 the 4^m / 2 even coefficients; any other channel keeps all 4^m. The oracle
 evolves 2^m x 2^m matrices with kron-lifted gates and Kraus operators, and
 takes gate k's derivative by inserting its generator right after the gate;
-its lifts, generators and graphs are those of test_ideal_oracle.py.
+its lift is that of oracles.py, its generators and graphs those of
+test_ideal_oracle.py.
 """
 
 import math
@@ -23,7 +24,8 @@ from noisyqaoa import (
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import _noisy_sweep, adjoint_gradient_noisy
 from noisyqaoa.statevector import MAX_DENSE_QUBITS, _pair_table, even_sector, rotation_pairs, sector_position
-from test_ideal_oracle import I2, TOL, X, Z, generator, graphs, lift
+from oracles import I2, X, Z, hamiltonian, lift
+from test_ideal_oracle import TOL, generator, graphs
 
 PAULIS = np.array([I2, X, [[0.0, -1j], [1j, 0.0]], Z])
 
@@ -50,7 +52,7 @@ def dense_reference(circuit, graph, channel):
     m = circuit.num_qubits
     kraus = [[lift(K, q, m) for K in channel.kraus] for q in range(m)]
     ops = [(g, *generator(g, m)) for g in circuit.gates]
-    H = sum((w * lift(Z, i, m) @ lift(Z, j, m) for i, j, w in graph.edges), np.zeros((1 << m, 1 << m)))
+    H = hamiltonian(graph)
 
     def noise(rho, gate):
         for q in gate.targets:

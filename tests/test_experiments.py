@@ -21,7 +21,6 @@ from noisyqaoa import (
     fit_decay,
     landscape_argmin,
     make_channel,
-    output_fidelity,
     problem_hamiltonian,
     run_cost_experiment,
     run_exact_noisy,
@@ -32,6 +31,7 @@ from noisyqaoa import (
 )
 from noisyqaoa import experiments
 from noisyqaoa.experiments import THREADS_ENV_VAR, resolve_graph
+from oracles import output_fidelity
 
 
 class TestConfidenceIntervals:
@@ -279,7 +279,7 @@ class TestFidelityExperiment:
         assert len(table.rows) == 6
         for p, n, _, F in table.rows:
             rho = run_exact_noisy(circuits[n], make_channel(channel, p))
-            assert abs(F - output_fidelity(run_ideal(circuits[n]), rho)) < 1e-12
+            assert abs(F - output_fidelity(run_ideal(circuits[n]).amplitudes, rho.entries)) < 1e-12
 
 
 class TestCostExperiment:

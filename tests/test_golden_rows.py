@@ -7,13 +7,15 @@ exactly: counts, labels and flags, and the sampled estimates (the cost,
 the derivative and the descent's final cost), which are sums of shot
 counts. The ideal descents must stop at the recorded iteration.
 
-To record the rows afresh (only for a change that means to move them):
+To record tables afresh (only for a change that means to move them),
+name them; every other table keeps its bytes:
 
-    PYTHONPATH=src python tests/test_golden_rows.py
+    PYTHONPATH=src python tests/test_golden_rows.py fidelity/depolarizing ...
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,23 +60,42 @@ def config(channel, **kw):
                             num_iters=100, threads=1, **kw)
 
 
-def golden_tables() -> dict:
-    """Table name -> {"columns", "rows"}, plus the ideal descents' lengths."""
-    out = {}
+def as_record(table) -> dict:
+    return {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
+
+
+def ideal_descent_iterations() -> dict:
+    cfg = config(CHANNELS[0])
+    return {str(n): len(_ideal_descent(cfg, table1_graph(), n)[1].iterations) for n in cfg.steps}
+
+
+def table_makers() -> dict:
+    """Table name -> a function computing its {"columns", "rows"}, plus the
+    ideal descents' lengths, in the golden file's order."""
+    makers = {}
     for channel in CHANNELS:
         for name, run in EXACT.items():
-            table = run(config(channel))
-            out[f"{name}/{channel}"] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
-        table = run_cost_experiment(config(channel, mode="sampled", shots=200))
-        out[f"sampled-cost/{channel}"] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
+            makers[f"{name}/{channel}"] = lambda run=run, cfg=config(channel): as_record(run(cfg))
+        cfg = config(channel, mode="sampled", shots=200)
+        makers[f"sampled-cost/{channel}"] = lambda cfg=cfg: as_record(run_cost_experiment(cfg))
     for name, (run, kw) in SAMPLED_DRIVERS.items():
-        table = run(ExperimentConfig(**{"steps": (1,), "shots": 20, **kw}, mode="sampled", threads=1))
-        out[name] = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
-    cfg = config(CHANNELS[0])
-    out["ideal_descent_iterations"] = {
-        str(n): len(_ideal_descent(cfg, table1_graph(), n)[1].iterations) for n in cfg.steps
-    }
-    return out
+        cfg = ExperimentConfig(**{"steps": (1,), "shots": 20, **kw}, mode="sampled", threads=1)
+        makers[name] = lambda run=run, cfg=cfg: as_record(run(cfg))
+    makers["ideal_descent_iterations"] = ideal_descent_iterations
+    return makers
+
+
+def record(names, path=GOLDEN) -> None:
+    """Record the named tables into the golden file at path afresh; the
+    others are written back as read, byte for byte."""
+    makers = table_makers()
+    unknown = [name for name in names if name not in makers]
+    if unknown:
+        raise ValueError(f"unknown golden tables {unknown}; known: {list(makers)}")
+    doc = json.loads(path.read_text())
+    for name in names:
+        doc[name] = makers[name]()
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def same(a, b, tol) -> bool:
@@ -87,7 +108,7 @@ def same(a, b, tol) -> bool:
 
 @pytest.fixture(scope="module")
 def current():
-    return golden_tables()
+    return {name: make() for name, make in table_makers().items()}
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +116,7 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize(
-    "table", [f"{name}/{ch}" for ch in CHANNELS for name in (*EXACT, "sampled-cost")] + list(SAMPLED_DRIVERS)
-)
+@pytest.mark.parametrize("table", [name for name in table_makers() if name != "ideal_descent_iterations"])
 def test_rows_match_golden(table, current, golden):
     want, got = golden[table], current[table]
     assert got["columns"] == want["columns"]
@@ -113,7 +132,25 @@ def test_ideal_descents_stop_at_the_golden_iteration(current, golden):
     assert current["ideal_descent_iterations"] == golden["ideal_descent_iterations"]
 
 
+def test_recorder_rewrites_only_the_named_tables(tmp_path, golden):
+    # the recorder reads and writes the file as json.dumps(indent=1) does,
+    # so a table it does not record keeps its bytes
+    assert json.dumps(golden, indent=1) + "\n" == GOLDEN.read_text()
+    copy = tmp_path / GOLDEN.name
+    stale = dict.fromkeys(golden, "stale")
+    text = json.dumps(stale, indent=1) + "\n"
+    copy.write_text(text)
+    name = "fidelity/dephasing"
+    record([name], copy)
+    recorded = json.loads(copy.read_text())
+    assert recorded[name]["columns"] == golden[name]["columns"]
+    assert len(recorded[name]["rows"]) == len(golden[name]["rows"])
+    recorded[name] = "stale"
+    assert json.dumps(recorded, indent=1) + "\n" == text
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden_tables(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    if len(sys.argv) < 2:
+        sys.exit(f"usage: {sys.argv[0]} TABLE [TABLE ...], from {list(table_makers())}")
+    record(sys.argv[1:])
+    print(f"recorded {sys.argv[1:]} in {GOLDEN}")

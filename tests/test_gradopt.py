@@ -10,17 +10,16 @@ from noisyqaoa import (
     build_circuit,
     cost_and_gradient,
     exact_noisy_evaluator,
-    finite_difference_gradient,
     gradient_descent,
     ideal_evaluator,
     make_channel,
     param_distance,
     random_init,
     sampled_evaluator,
-    shifted_evaluation_gradient,
 )
 from noisyqaoa.gradopt import Gradient
 from noisyqaoa.statevector import SimulationError
+from oracles import finite_difference_gradient, shifted_evaluation_gradient
 
 NEG_WEIGHT_GRAPH = WeightedGraph(3, ((0, 1, 1.3), (1, 2, -0.8), (0, 2, 0.5)))
 
@@ -51,7 +50,7 @@ class TestShiftRuleVsFiniteDifference:
         for _ in range(5):
             params = random_params(n, rng)
             sr = cost_and_gradient(table1, params, ev)[1].flat()
-            fd = finite_difference_gradient(table1, params, 1e-5).flat()
+            fd = finite_difference_gradient(table1, params, 1e-5)
             assert np.abs(sr - fd).max() < 1e-6
 
     def test_noisy_evaluator(self, table1):
@@ -60,21 +59,21 @@ class TestShiftRuleVsFiniteDifference:
         ev = exact_noisy_evaluator(table1, channel)
         params = random_params(2, rng)
         sr = cost_and_gradient(table1, params, ev)[1].flat()
-        fd = finite_difference_gradient(table1, params, 1e-5, evaluator=ev).flat()
+        fd = finite_difference_gradient(table1, params, 1e-5, evaluator=ev)
         assert np.abs(sr - fd).max() < 1e-6
 
     def test_negative_weights(self):
         rng = np.random.default_rng(7)
         params = random_params(2, rng)
         sr = cost_and_gradient(NEG_WEIGHT_GRAPH, params, ideal_evaluator(NEG_WEIGHT_GRAPH))[1].flat()
-        fd = finite_difference_gradient(NEG_WEIGHT_GRAPH, params, 1e-5).flat()
+        fd = finite_difference_gradient(NEG_WEIGHT_GRAPH, params, 1e-5)
         assert np.abs(sr - fd).max() < 1e-6
 
     def test_fd_error_shrinks_quadratically(self, table1):
         params = QaoaParams([0.3], [0.4])
         exact = cost_and_gradient(table1, params, ideal_evaluator(table1))[1].flat()
         errs = [
-            np.abs(finite_difference_gradient(table1, params, h).flat() - exact).max()
+            np.abs(finite_difference_gradient(table1, params, h) - exact).max()
             for h in (1e-2, 1e-3)
         ]
         assert errs[1] < errs[0] / 50.0  # ~1/100 for an O(h^2) scheme
@@ -94,7 +93,7 @@ class TestAdjointMatchesShiftedEvaluations:
         ev = ideal_evaluator(table1)
         fast = cost_and_gradient(table1, params, ev)[1].flat()
         # a bare lambda has no adjoint method
-        literal = shifted_evaluation_gradient(table1, params, lambda s: ev(s)).flat()
+        literal = shifted_evaluation_gradient(table1, params, lambda s: ev(s))
         assert np.abs(fast - literal).max() < 1e-9
 
     @pytest.mark.parametrize("kind", ["dephasing", "depolarizing"])
@@ -103,7 +102,7 @@ class TestAdjointMatchesShiftedEvaluations:
         params = random_params(2, rng)
         ev = exact_noisy_evaluator(NEG_WEIGHT_GRAPH, make_channel(kind, 0.03))
         fast = cost_and_gradient(NEG_WEIGHT_GRAPH, params, ev)[1].flat()
-        literal = shifted_evaluation_gradient(NEG_WEIGHT_GRAPH, params, lambda s: ev(s)).flat()
+        literal = shifted_evaluation_gradient(NEG_WEIGHT_GRAPH, params, lambda s: ev(s))
         assert np.abs(fast - literal).max() < 1e-9
 
     def test_cost_matches_evaluator(self, table1):

@@ -16,20 +16,9 @@ from scipy.linalg import expm
 
 from noisyqaoa import QaoaParams, WeightedGraph, build_circuit, problem_hamiltonian, run_ideal, with_shifted_gate
 from noisyqaoa.qaoa import adjoint_gradient_ideal
+from oracles import X, Z, hamiltonian, lift
 
-I2 = np.eye(2)
-X = np.array([[0.0, 1.0], [1.0, 0.0]])
-Z = np.diag([1.0, -1.0])
 TOL = 1e-12
-
-
-def lift(M, q, m):
-    """M on qubit q of m (little-endian: qubit 0 is the last kron factor)."""
-    factors = [M if k == q else I2 for k in reversed(range(m))]
-    out = np.eye(1)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
 
 
 def generator(gate, m):
@@ -46,7 +35,7 @@ def dense_oracle(circuit, graph):
     """(state, cost, d_gamma, d_beta) of the circuit by dense products."""
     m = circuit.num_qubits
     ops = [generator(g, m) for g in circuit.gates]
-    H = sum(w * lift(Z, i, m) @ lift(Z, j, m) for i, j, w in graph.edges)
+    H = hamiltonian(graph)
     plus = np.full(1 << m, 2.0 ** (-m / 2))
 
     def run(insert_at=None):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisyqaoa import (
-    DensityMatrix,
     StateVector,
     WeightedGraph,
     brute_force_ground,
@@ -123,10 +122,6 @@ class TestExactExpectation:
         amp = np.zeros(4, dtype=complex)
         amp[0] = 1.0
         assert exact_expectation(StateVector(2, amp), h) == pytest.approx(1.3)
-
-    def test_maximally_mixed_is_zero(self, table1_h):
-        rho = DensityMatrix(7, np.eye(128) / 128.0)
-        assert exact_expectation(rho, table1_h) == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_states_match_energy(self):
         g = random_graph(99)

@@ -17,26 +17,19 @@ from noisyqaoa import (
     cost_sampled,
     exact_expectation,
     make_channel,
-    output_fidelity,
     plus_state,
     problem_hamiltonian,
     run_exact_noisy,
     run_ideal,
-    run_trajectory,
     trajectory_states,
     with_shifted_gate,
 )
 from noisyqaoa.experiments import ci_cost
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import adjoint_gradient_noisy, noise_event_count
+from oracles import apply_kraus_exact, lift, output_fidelity, run_trajectory
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def full_op(M, q, m):
-    """Dense m-qubit operator acting as M on qubit q (little-endian)."""
-    lo, hi = 1 << q, 1 << (m - 1 - q)
-    return np.kron(np.eye(hi), np.kron(M, np.eye(lo)))
 
 
 PAULI_KINDS = ("dephasing", "bitflip", "depolarizing")
@@ -67,13 +60,13 @@ class ConstantRng:
 
 def assert_rows_match_reference(channel, seed, T=4):
     """On a random n=2 triangle circuit, trajectory_states row t equals
-    run_trajectory on stream (seed, t)."""
+    the t-th of T run_trajectory calls that share one stream from seed."""
     rng = np.random.default_rng(seed)
     seq = build_circuit(TRIANGLE, QaoaParams(rng.normal(size=2), rng.normal(size=2)))
     batch = trajectory_states(seq, channel, T, seed=seed)
+    stream = np.random.default_rng(seed)
     for t in range(T):
-        single = run_trajectory(seq, channel, np.random.default_rng([seed, t]))
-        assert np.abs(batch[t] - single.amplitudes).max() < 1e-12
+        assert np.abs(batch[t] - run_trajectory(seq, channel, stream)).max() < 1e-12
 
 
 def zz_diag(i, j, m):
@@ -87,27 +80,21 @@ def dense_step_unitary(graph, gamma, beta):
     for i, j, w in sorted(graph.edges):
         U = np.diag(np.exp(-1j * gamma * w * zz_diag(i, j, m))) @ U
     for q in range(m):
-        U = full_op(expm(1j * beta * X), q, m) @ U
+        U = lift(expm(1j * beta * X), q, m) @ U
     return U
 
 
 def dense_channel_step(rho, graph, gamma, beta, channel):
     """Oracle: gate then per-touched-qubit Kraus sum, all via dense kron."""
     m = graph.num_nodes
-
-    def kraus_on(rho, q):
-        return sum(
-            full_op(K, q, m) @ rho @ full_op(K, q, m).conj().T for K in channel.kraus
-        )
-
     for i, j, w in sorted(graph.edges):
         U = np.diag(np.exp(-1j * gamma * w * zz_diag(i, j, m)))
         rho = U @ rho @ U.conj().T
-        rho = kraus_on(kraus_on(rho, i), j)
+        rho = apply_kraus_exact(apply_kraus_exact(rho, channel, i), channel, j)
     for q in range(m):
-        U = full_op(expm(1j * beta * X), q, m)
+        U = lift(expm(1j * beta * X), q, m)
         rho = U @ rho @ U.conj().T
-        rho = kraus_on(rho, q)
+        rho = apply_kraus_exact(rho, channel, q)
     return rho
 
 
@@ -209,7 +196,7 @@ class TestRunExactNoisy:
         seq = build_circuit(g, QaoaParams([0.0], [0.63]))
         for p in (0.0, 0.1, 0.37):
             rho = run_exact_noisy(seq, make_channel("dephasing", p))
-            assert output_fidelity(run_ideal(seq), rho) == pytest.approx(1.0 - p, abs=1e-12)
+            assert output_fidelity(run_ideal(seq).amplitudes, rho.entries) == pytest.approx(1.0 - p, abs=1e-12)
 
 
 ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
@@ -247,9 +234,9 @@ class TestTrajectories:
         seq = build_circuit(single_edge, QaoaParams([0.7], [0.3]))
         channel = make_channel("depolarizing", 0.2)
         batch = trajectory_states(seq, channel, 5, seed=42)
+        stream = np.random.default_rng(42)
         for t in range(5):
-            single = run_trajectory(seq, channel, np.random.default_rng([42, t]))
-            assert np.abs(batch[t] - single.amplitudes).max() < 1e-12
+            assert np.abs(batch[t] - run_trajectory(seq, channel, stream)).max() < 1e-12
 
     def test_p_zero_trajectories_are_ideal(self, single_edge):
         seq = build_circuit(single_edge, QaoaParams([0.7], [0.3]))
@@ -310,12 +297,12 @@ class TestTrajectories:
         ids=list(PAULI_KINDS) + ["custom-zero-operator", "mixture-cdf-below-one", "damping-zero-operator"],
     )
     def test_uniform_below_one_takes_last_nonzero_branch(self, table1, channel):
-        # the branch cdf can round to just below r; sample_kraus then falls
+        # the branch cdf can round to just below r; the rule then falls
         # back to the last branch of nonzero probability, never a zero operator
         seq = build_circuit(table1, QaoaParams([0.4], [0.3]))
         r = np.nextafter(1.0, 0.0)
         batch = trajectory_states(seq, channel, 3, uniforms=np.full((3, noise_event_count(seq)), r))
-        single = run_trajectory(seq, channel, ConstantRng(r)).amplitudes
+        single = run_trajectory(seq, channel, ConstantRng(r))
         assert np.abs(batch - single).max() < 1e-12
 
     def test_uniform_matrix_shape_check(self, single_edge):
@@ -343,7 +330,7 @@ class TestAdjointGradientNoisy:
 
         def cost(g, b):
             rho = run_exact_noisy(build_circuit(TRIANGLE, QaoaParams(g, b)), channel)
-            return exact_expectation(rho, h)
+            return float(np.diagonal(rho.entries).real @ h.energies)
 
         cost0, d_gamma, d_beta = adjoint_gradient_noisy(build_circuit(TRIANGLE, QaoaParams(gam, bet)), h, channel)
         assert cost0 == pytest.approx(cost(gam, bet), abs=1e-12)
@@ -421,11 +408,11 @@ class TestOutputFidelity:
         seq7 = build_circuit(table1, QaoaParams([0.1], [0.1]))
         rho = run_exact_noisy(seq7, make_channel("dephasing", 0.1))
         with pytest.raises(ValueError):
-            output_fidelity(run_ideal(seq2), rho)
+            output_fidelity(run_ideal(seq2).amplitudes, rho.entries)
 
     def test_pure_self_fidelity(self, table1, rng):
         params = QaoaParams(rng.normal(size=1), rng.normal(size=1))
         seq = build_circuit(table1, params)
-        psi = run_ideal(seq)
-        rho = run_exact_noisy(seq, make_channel("depolarizing", 0.0))
+        psi = run_ideal(seq).amplitudes
+        rho = run_exact_noisy(seq, make_channel("depolarizing", 0.0)).entries
         assert output_fidelity(psi, rho) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,5 @@
-"""Dense simulation kernel: gates, channels, trajectory steps, measurement."""
+"""Simulation kernels against kron-lifted dense operators, and the dense
+oracles' own checks: Kraus sum, trajectory step, fidelity, measurement."""
 
 import numpy as np
 import pytest
@@ -11,13 +12,9 @@ from noisyqaoa import (
     StateVector,
     WeightedGraph,
     apply_gate,
-    apply_kraus_exact,
     build_circuit,
     make_channel,
-    measurement_probabilities,
     plus_state,
-    pure_fidelity,
-    sample_kraus,
 )
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import QaoaGate
@@ -26,6 +23,7 @@ from noisyqaoa.statevector import (
     apply_ptm,
     apply_superop_1q,
     even_sector,
+    expand_diag,
     gate_on,
     mul_left_1q,
     mul_right_1q,
@@ -33,7 +31,7 @@ from noisyqaoa.statevector import (
     rotate_pairs,
     rotation_pairs,
 )
-from test_ideal_oracle import lift
+from oracles import apply_kraus_exact, lift, measurement_probabilities, projector, pure_fidelity, sample_kraus
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -125,10 +123,9 @@ class TestStates:
             DensityMatrix(1, np.zeros((2, 3), dtype=complex))
 
     def test_projector(self):
-        s = plus_state(1)
-        rho = s.projector()
-        assert np.allclose(rho.entries, 0.5 * np.ones((2, 2)))
-        assert rho.trace() == pytest.approx(1.0)
+        rho = projector(plus_state(1).amplitudes)
+        assert np.allclose(rho, 0.5 * np.ones((2, 2)))
+        assert np.trace(rho) == pytest.approx(1.0)
 
 
 def mixer(q, beta):
@@ -219,55 +216,53 @@ class TestApplyGate:
 
 class TestApplyKrausExact:
     def test_depolarizing_fixes_maximally_mixed(self):
-        rho = DensityMatrix(1, 0.5 * np.eye(2))
-        out = apply_kraus_exact(rho, make_channel("depolarizing", 0.4), 0)
-        assert np.allclose(out.entries, 0.5 * np.eye(2), atol=1e-14)
+        out = apply_kraus_exact(0.5 * np.eye(2), make_channel("depolarizing", 0.4), 0)
+        assert np.allclose(out, 0.5 * np.eye(2), atol=1e-14)
 
     def test_dephasing_on_plus(self):
         p = 0.23
         plus = 0.5 * np.ones((2, 2))
         minus = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        out = apply_kraus_exact(DensityMatrix(1, plus), make_channel("dephasing", p), 0)
-        assert np.allclose(out.entries, (1 - p) * plus + p * minus, atol=1e-14)
+        out = apply_kraus_exact(plus, make_channel("dephasing", p), 0)
+        assert np.allclose(out, (1 - p) * plus + p * minus, atol=1e-14)
 
     def test_bitflip_on_zero(self):
         p = 0.41
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = apply_kraus_exact(DensityMatrix(1, rho), make_channel("bitflip", p), 0)
-        assert np.allclose(out.entries, np.diag([1 - p, p]), atol=1e-14)
+        out = apply_kraus_exact(rho, make_channel("bitflip", p), 0)
+        assert np.allclose(out, np.diag([1 - p, p]), atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["dephasing", "bitflip", "depolarizing"])
     def test_trace_preserved_on_grid(self, kind, rng):
         from noisyqaoa import noise_grid
 
-        rho = random_state(3, rng).projector()
+        rho = projector(random_state(3, rng).amplitudes)
         for p in noise_grid():
             out = apply_kraus_exact(rho, make_channel(kind, p), 1)
-            assert abs(out.trace() - 1.0) < 1e-12
+            assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_linearity(self, rng):
         ch = make_channel("depolarizing", 0.17)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         ha, hb = a + a.conj().T, b + b.conj().T
-        lhs = apply_kraus_exact(DensityMatrix(2, 0.3 * ha + 0.7 * hb), ch, 0).entries
-        rhs = 0.3 * apply_kraus_exact(DensityMatrix(2, ha), ch, 0).entries \
-            + 0.7 * apply_kraus_exact(DensityMatrix(2, hb), ch, 0).entries
+        lhs = apply_kraus_exact(0.3 * ha + 0.7 * hb, ch, 0)
+        rhs = 0.3 * apply_kraus_exact(ha, ch, 0) + 0.7 * apply_kraus_exact(hb, ch, 0)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_bad_qubit(self):
         with pytest.raises(ValueError):
-            apply_kraus_exact(DensityMatrix(1, 0.5 * np.eye(2)), make_channel("bitflip", 0.1), 1)
+            apply_kraus_exact(0.5 * np.eye(2), make_channel("bitflip", 0.1), 1)
 
 
 class TestKernelHelpers:
     def test_superop_matches_dense_conjugation(self, rng):
         m = 3
         ch = make_channel("depolarizing", 0.3)
-        rho = random_state(m, rng).projector().entries
+        rho = projector(random_state(m, rng).amplitudes)
         for q in range(m):
             out = apply_superop_1q(rho, ch.superop, q, m)
-            expected = sum(lift(K, q, m) @ rho @ lift(K, q, m).conj().T for K in ch.kraus)
+            expected = apply_kraus_exact(rho, ch, q)
             assert np.abs(out - expected).max() < 1e-13
 
     @given(pauli=st.booleans(), k=st.integers(1, 4), seed=st.integers(0, 10_000))
@@ -286,10 +281,10 @@ class TestKernelHelpers:
             kraus = [V[2 * i:2 * i + 2] for i in range(k)]
         ch = custom_channel(kraus)
         assert (np.count_nonzero(ch.superop) <= 8) == pauli
-        rho = random_state(m, rng).projector().entries
+        rho = projector(random_state(m, rng).amplitudes)
         for q in range(m):
             out = apply_superop_1q(rho, ch.superop, q, m)
-            expected = sum(lift(K, q, m) @ rho @ lift(K, q, m).conj().T for K in ch.kraus)
+            expected = apply_kraus_exact(rho, ch, q)
             assert np.abs(out - expected).max() < 1e-13
 
     def test_mul_left_right(self, rng):
@@ -300,6 +295,16 @@ class TestKernelHelpers:
             full = lift(M, q, m)
             assert np.abs(mul_left_1q(arr, M, q, m) - full @ arr).max() < 1e-13
             assert np.abs(mul_right_1q(arr, M, q, m) - arr @ full).max() < 1e-13
+
+    def test_expand_diag(self, rng):
+        m, d = 3, rng.normal(size=4)
+        Z = np.diag([1.0, -1.0])
+        proj = ((np.eye(2) + Z) / 2, (np.eye(2) - Z) / 2)
+        for i, j in ((0, 2), (2, 1)):
+            # d is indexed 2 * b_i + b_j
+            full = sum(d[2 * bi + bj] * lift(proj[bi], i, m) @ lift(proj[bj], j, m)
+                       for bi in (0, 1) for bj in (0, 1))
+            assert np.abs(expand_diag(m, (i, j), d) - np.diag(full)).max() < 1e-15
 
 
 class TestPauliTransferKernels:
@@ -318,7 +323,7 @@ class TestPauliTransferKernels:
         scales, S = ch.ptm_scales(m), even_sector(m)
         assert (scales is None) == (shape in ("amplitude-damping", "random-kraus"))
         basis = pauli_basis(m)
-        rho = random_state(m, rng).projector().entries
+        rho = projector(random_state(m, rng).amplitudes)
         obs = random_hermitian(m, rng)
         r, o = coefficients(rho, basis), observable_coefficients(obs, basis)
         for q in range(m):
@@ -343,7 +348,7 @@ class TestPauliTransferKernels:
         graph = WeightedGraph(m, edges)
         seq = build_circuit(graph, QaoaParams([rng.uniform(-np.pi, np.pi)], [rng.uniform(-np.pi, np.pi)]))
         basis = pauli_basis(m)
-        rho = random_state(m, rng).projector().entries
+        rho = projector(random_state(m, rng).amplitudes)
         obs = random_hermitian(m, rng)
         for gate in seq.gates:
             if gate.param == "beta":
@@ -372,7 +377,7 @@ class TestPauliTransferKernels:
         r = rng.normal(size=4 ** m)
         expected = sum(c * P for c, P in zip(r, basis)) / 2 ** m
         assert np.abs(pauli_to_density(r, m) - expected).max() < 1e-13
-        plus = plus_state(m).projector().entries
+        plus = projector(plus_state(m).amplitudes)
         assert np.abs(pauli_to_density(coefficients(plus, basis), m) - plus).max() < 1e-15
 
     def test_named_channels_have_their_diagonal(self):
@@ -404,91 +409,91 @@ class TestSampleKraus:
     def test_bitflip_branch_probabilities_on_zero(self):
         p = 0.3
         ch = make_channel("bitflip", p)
-        out0, l0 = sample_kraus(basis_state(1, 0), ch, 0, 0.5)
-        assert l0 == 0 and np.allclose(out0.amplitudes, [1, 0])
-        out1, l1 = sample_kraus(basis_state(1, 0), ch, 0, 0.8)
-        assert l1 == 1 and np.allclose(out1.amplitudes, [0, 1])
+        out0, l0 = sample_kraus(basis_state(1, 0).amplitudes, ch, 0, 0.5)
+        assert l0 == 0 and np.allclose(out0, [1, 0])
+        out1, l1 = sample_kraus(basis_state(1, 0).amplitudes, ch, 0, 0.8)
+        assert l1 == 1 and np.allclose(out1, [0, 1])
 
     def test_bitflip_on_plus_invariant(self):
         ch = make_channel("bitflip", 0.5)
         for r in (0.1, 0.9):
-            out, _ = sample_kraus(plus_state(1), ch, 0, r)
-            assert np.allclose(np.abs(out.amplitudes), [1 / np.sqrt(2)] * 2)
+            out, _ = sample_kraus(plus_state(1).amplitudes, ch, 0, r)
+            assert np.allclose(np.abs(out), [1 / np.sqrt(2)] * 2)
 
     def test_r_zero_selects_first_branch(self):
         for kind in ("dephasing", "bitflip", "depolarizing"):
-            _, l = sample_kraus(plus_state(2), make_channel(kind, 0.2), 1, 0.0)
+            _, l = sample_kraus(plus_state(2).amplitudes, make_channel(kind, 0.2), 1, 0.0)
             assert l == 0
 
     def test_cdf_boundary_selects_next_branch(self):
         # r exactly at the first branch boundary: sum_{i<l} p_i <= r < sum_{i<=l} p_i
         p = 0.25
-        _, l = sample_kraus(basis_state(1, 0), make_channel("bitflip", p), 0, 1 - p)
+        _, l = sample_kraus(basis_state(1, 0).amplitudes, make_channel("bitflip", p), 0, 1 - p)
         assert l == 1
 
     def test_output_normalized(self, rng):
         ch = make_channel("depolarizing", 0.8)
-        state = random_state(3, rng)
+        state = random_state(3, rng).amplitudes
         for r in rng.random(10):
             out, _ = sample_kraus(state, ch, 2, float(r))
-            assert out.norm() == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_trajectory_average_converges_to_exact(self):
         # one mixer on |0>, dephasing(0.2): trajectory mixture vs exact channel
         p, T = 0.2, 100_000
         ch = make_channel("dephasing", p)
-        after_gate = apply_gate(basis_state(1, 0), mixer(0, 0.6))
-        exact = apply_kraus_exact(after_gate.projector(), ch, 0).entries
+        after_gate = apply_gate(basis_state(1, 0), mixer(0, 0.6)).amplitudes
+        exact = apply_kraus_exact(projector(after_gate), ch, 0)
         rng = np.random.default_rng(11)
         acc = np.zeros((2, 2), dtype=complex)
         for r in rng.random(T):
             out, _ = sample_kraus(after_gate, ch, 0, float(r))
-            acc += np.outer(out.amplitudes, out.amplitudes.conj())
+            acc += projector(out)
         assert np.abs(acc / T - exact).max() < 0.01
 
 
 class TestFidelityAndMeasurement:
     def test_fidelity_self(self, rng):
-        s = random_state(2, rng)
+        s = random_state(2, rng).amplitudes
         assert pure_fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_orthogonal(self):
-        assert pure_fidelity(basis_state(1, 0), basis_state(1, 1)) == pytest.approx(0.0)
+        assert pure_fidelity(basis_state(1, 0).amplitudes, basis_state(1, 1).amplitudes) == pytest.approx(0.0)
 
     def test_fidelity_zero_plus(self):
-        assert pure_fidelity(basis_state(1, 0), plus_state(1)) == pytest.approx(0.5)
+        assert pure_fidelity(basis_state(1, 0).amplitudes, plus_state(1).amplitudes) == pytest.approx(0.5)
 
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pure_fidelity(plus_state(1), plus_state(2))
+            pure_fidelity(plus_state(1).amplitudes, plus_state(2).amplitudes)
 
     def test_probs_basis_state(self):
-        assert measurement_probabilities(basis_state(2, 0), (0, 1)) == pytest.approx((1, 0, 0, 0))
+        assert measurement_probabilities(basis_state(2, 0).amplitudes, (0, 1)) == pytest.approx((1, 0, 0, 0))
 
     def test_probs_plus_plus(self):
-        assert measurement_probabilities(plus_state(2), (0, 1)) == pytest.approx((0.25,) * 4)
+        assert measurement_probabilities(plus_state(2).amplitudes, (0, 1)) == pytest.approx((0.25,) * 4)
 
     def test_probs_bell(self):
         amp = np.zeros(4, dtype=complex)
         amp[0] = amp[3] = 1 / np.sqrt(2)
-        probs = measurement_probabilities(StateVector(2, amp), (0, 1))
+        probs = measurement_probabilities(amp, (0, 1))
         assert probs == pytest.approx((0.5, 0.0, 0.0, 0.5))
 
     def test_probs_subscript_order(self):
         # |01> on (q0, q1): q0 carries bit 1, so p10 (first subscript = q0) is 1
-        probs = measurement_probabilities(basis_state(2, 1), (0, 1))
+        probs = measurement_probabilities(basis_state(2, 1).amplitudes, (0, 1))
         assert probs == pytest.approx((0, 0, 1, 0))
 
     def test_probs_density_input(self, rng):
-        s = random_state(3, rng)
+        s = random_state(3, rng).amplitudes
         pv = measurement_probabilities(s, (0, 2))
-        pd = measurement_probabilities(s.projector(), (0, 2))
+        pd = measurement_probabilities(projector(s), (0, 2))
         assert pv == pytest.approx(pd, abs=1e-12)
 
     def test_probs_sum_to_one(self, rng):
-        probs = measurement_probabilities(random_state(3, rng), (1, 2))
+        probs = measurement_probabilities(random_state(3, rng).amplitudes, (1, 2))
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
     def test_probs_duplicate_qubits(self):
         with pytest.raises(ValueError):
-            measurement_probabilities(plus_state(2), (1, 1))
+            measurement_probabilities(plus_state(2).amplitudes, (1, 1))
