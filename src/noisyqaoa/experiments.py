@@ -34,7 +34,7 @@ from .gradopt import (
 )
 from .maxcut import WeightedGraph, load_graph as resolve_graph, problem_hamiltonian
 from .noise import KINDS, make_channel, noise_grid
-from .qaoa import QaoaParams, _fidelities, build_circuit, cost_exact
+from .qaoa import QaoaParams, _fidelities, _landscape_row, build_circuit, cost_exact
 
 THREADS_ENV_VAR = "NOISYQAOA_THREADS"
 
@@ -233,10 +233,15 @@ def landscape_argmin(
 ) -> tuple[int, int, float]:
     """Grid argmin of the n=1 cost landscape over a (gamma, beta) slice.
 
-    Returns (gamma index, beta index, cost) of the minimum cell. Default
-    slice: 21 points each over [0, 1] (an asymmetric window, since
-    (gamma, beta) -> (-gamma, -beta) leaves the cost invariant and would
-    make the argmin cell degenerate on a symmetric window).
+    Returns (gamma index, beta index, cost) of the minimum cell: the first
+    strict minimum in row-major order (gamma outer), so a tie keeps the
+    earlier cell. Default slice: 21 points each over [0, 1] (an
+    asymmetric window, since (gamma, beta) -> (-gamma, -beta) leaves the
+    cost invariant and would make the argmin cell degenerate on a
+    symmetric window). Each cell's cost equals cost_exact's bit for bit;
+    under a Pauli channel the cells of one gamma row share one sweep of
+    the edge layer and each runs only its mixers on the cost cone (see
+    qaoa), while the ideal landscape and other channels run cell by cell.
     """
     if gammas is None:
         gammas = np.linspace(0.0, 1.0, 21)
@@ -245,9 +250,7 @@ def landscape_argmin(
     h = problem_hamiltonian(graph)
     best = None
     for ig, gamma in enumerate(gammas):
-        for ib, beta in enumerate(betas):
-            circuit = build_circuit(graph, QaoaParams([gamma], [beta]))
-            c = cost_exact(circuit, h, channel)
+        for ib, c in enumerate(_landscape_row(graph, h, channel, gamma, betas)):
             if best is None or c < best[2]:
                 best = (ig, ib, c)
     return best
@@ -294,10 +297,13 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     Circuit parameters are drawn once per n from the master seed
     (uniform on [-pi, pi]) and echoed in the metadata. The fidelity is
     read from the exact noisy and ideal Pauli coefficients, so sampled
-    mode is rejected.
+    mode is rejected. It runs on one process, so an explicit threads
+    above 1 is rejected too.
     """
     if config.mode != "exact":
         raise ValueError(f"the fidelity experiment runs in exact mode only, not mode {config.mode!r}")
+    if config.threads is not None and config.threads > 1:
+        raise ValueError(f"the fidelity experiment runs on one process; setting threads={config.threads} is not read")
     graph = resolve_graph(config.graph_source)
     m, E = graph.num_nodes, graph.num_edges
     rng = np.random.default_rng([config.seed, _STREAM_FIDELITY])

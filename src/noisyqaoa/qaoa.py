@@ -21,11 +21,24 @@ For a Pauli channel the sweep holds only the even sector (see
 statevector), the half of the coefficients that the global bit flip,
 the Z2 symmetry of Max-Cut QAOA, leaves nonzero; any other channel
 keeps all 4^m.
+
+The noisy cost needs only the end of that sweep's light cone. A mixer
+on qubit q rotates (Z_q, Y_q) and a Pauli channel scales each
+coefficient, so a circuit's trailing run of mixers moves a term's
+Z_i Z_j coefficient only among its four {Z,Y}_i {Z,Y}_j coefficients
+that are I on every other qubit: the cost cone, 4E of the 8,192 sector
+coefficients at m = 7 (_cost_cone, built once per register size and
+term list and kept, read-only). Under a Pauli channel cost_exact sweeps
+the gates before that run and finishes on the cone alone, with the
+same elementwise operations in the same order, so every cost is
+bit-equal to the full sweep's. An n = 1 landscape row shares one sweep
+of the edge layer between its cells (_landscape_row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
@@ -39,6 +52,7 @@ from .statevector import (
     DensityMatrix,
     SimulationError,
     StateVector,
+    _pair_table,
     apply_1q,
     apply_ptm,
     bit_flips,
@@ -187,7 +201,7 @@ def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | 
 class _Sweep(NamedTuple):
     """A forward sweep: the coefficients r, the channel's scales (None for
     a channel that keeps all 4^m coefficients, else r is the even sector),
-    the pairs of every gate in r's layout and, if stored, the sigmas."""
+    the pairs of every swept gate in r's layout and, if stored, the sigmas."""
 
     r: np.ndarray
     scales: list | None
@@ -204,28 +218,76 @@ class _Sweep(NamedTuple):
         return float(sum(w * self.r[k] for k, w in self.zz_terms(h)))
 
 
-def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = False) -> _Sweep:
+def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = False,
+                 cone: bool = False) -> _Sweep:
     """Pauli coefficients r of the noisy output of |+>^m, with the channel
     after every gate on each qubit it touches: the 4^m / 2 of the even
     sector for a Pauli channel, else all 4^m. The one forward pass of
     run_exact_noisy, cost_exact and adjoint_gradient_noisy; sigmas[k], when
     store is set, holds the values of gate k's pairs after the gate and
-    before its channels."""
+    before its channels. With cone set, a Pauli channel's sweep stops
+    before the circuit's trailing run of mixers, which _cone_cost finishes;
+    pairs then covers the swept gates only."""
     m = circuit.num_qubits
     if m > MAX_DENSE_QUBITS:  # before any 4^m array, the scales' included
         raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
     R, scales = channel.ptm, channel.ptm_scales(m)
-    pairs = [rotation_pairs(gate, m, scales is not None) for gate in circuit.gates]
+    gates = circuit.gates
+    if cone and scales is not None:
+        gates = gates[:_tail_start(gates)]
+    pairs = [rotation_pairs(gate, m, scales is not None) for gate in gates]
     r = np.zeros((4,) * (m - 1) + (4 if scales is None else 2,))  # the sector drops qubit 0's Y/Z bit
     r[(slice(0, 2),) * m] = 1.0  # |+>^m
     r, spare = r.reshape(-1), np.empty(r.size)
     sigmas = np.empty((len(pairs), 2, r.size // 4)) if store else None
-    for k, (gate, idx) in enumerate(zip(circuit.gates, pairs)):
+    for k, (gate, idx) in enumerate(zip(gates, pairs)):
         rotated = rotate_pairs(r, idx, 2.0 * gate.weight * gate.angle)
         if store:
             sigmas[k] = rotated
         r, spare = _channel_on(r, spare, R, scales, gate.targets)
     return _Sweep(r, scales, pairs, sigmas)
+
+
+def _tail_start(gates) -> int:
+    """Index of the first gate of the trailing run of mixers (len(gates)
+    when the last gate is an edge gate)."""
+    k = len(gates)
+    while k and gates[k - 1].param == "beta":
+        k -= 1
+    return k
+
+
+@lru_cache(maxsize=128)
+def _cost_cone(m: int, pairs: tuple) -> tuple:
+    """The cost cone of the terms on the qubit pairs (i, j), as read-only
+    (C, tables, terms): the sorted sector positions C of every {Z,Y}_i
+    {Z,Y}_j coefficient (I on every other qubit), each qubit's mixer pair
+    table restricted to C and given as positions in C, and each term's
+    Z_i Z_j position in C."""
+    C = np.array(sorted({sector_position(a * 4 ** i + b * 4 ** j)
+                         for i, j in pairs for a in (2, 3) for b in (2, 3)}), dtype=np.intp)
+    tables = []
+    for q in range(m):
+        table = _pair_table(m, (q,), True)
+        tables.append(np.searchsorted(C, table[:, np.isin(table[0], C)]))
+    terms = np.searchsorted(C, [sector_position(3 * (4 ** i + 4 ** j)) for i, j in pairs])
+    for a in [C, terms, *tables]:
+        a.setflags(write=False)
+    return C, tuple(tables), terms
+
+
+def _cone_cost(sweep: _Sweep, m: int, mixers, h: ProblemHamiltonian) -> float:
+    """<H_p> after the mixers and their channels, from a Pauli channel's
+    sweep r of the gates before them, run on r's cost cone alone (the
+    same operations as _noisy_sweep on those coefficients, summed as
+    _Sweep.cost)."""
+    C, tables, terms = _cost_cone(m, tuple((i, j) for i, j, _ in h.terms))
+    r = sweep.r[C]
+    for gate in mixers:
+        (q,) = gate.targets
+        rotate_pairs(r, tables[q], 2.0 * gate.weight * gate.angle)
+        r *= sweep.scales[q][C]
+    return float(sum(w * r[k] for k, (_, _, w) in zip(terms, h.terms)))
 
 
 def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
@@ -406,6 +468,8 @@ def _trajectory_tree(circuit: GateSequence, channel: NoiseChannel, uniforms: np.
         for q, (moving, picks) in zip(gate.targets, events):
             for l in faults if moving.size else ():
                 rows = moving[picks == l]
+                if not rows.size:
+                    continue
                 if size + rows.size > len(states):  # drop the states no row points at
                     live, index = np.unique(index, return_inverse=True)
                     states[:live.size], size = states[live], live.size
@@ -464,7 +528,26 @@ def cost_exact(
     """<H_p> of the circuit output: ideal, or exact-noisy if given a channel."""
     if channel is None:
         return exact_expectation(run_ideal(circuit), h)
-    return _noisy_sweep(circuit, channel).cost(h)
+    sweep = _noisy_sweep(circuit, channel, cone=True)
+    if sweep.scales is None:
+        return sweep.cost(h)
+    return _cone_cost(sweep, circuit.num_qubits, circuit.gates[len(sweep.pairs):], h)
+
+
+def _landscape_row(graph: WeightedGraph, h: ProblemHamiltonian, channel: NoiseChannel | None,
+                  gamma: float, betas) -> list:
+    """cost_exact of the n=1 circuit (gamma, beta) for each beta. Under a
+    Pauli channel the cells share one sweep of the edge layer, and each
+    runs only its mixers on the cost cone; any other channel, and the
+    ideal cost, run cell by cell."""
+    circuits = [build_circuit(graph, QaoaParams([gamma], [beta])) for beta in betas]
+    if channel is None or not circuits:
+        return [cost_exact(circuit, h, channel) for circuit in circuits]
+    sweep = _noisy_sweep(circuits[0], channel, cone=True)
+    if sweep.scales is None:  # no cone: the sweep is the first cell's
+        return [sweep.cost(h)] + [cost_exact(circuit, h, channel) for circuit in circuits[1:]]
+    cut = len(sweep.pairs)
+    return [_cone_cost(sweep, graph.num_nodes, circuit.gates[cut:], h) for circuit in circuits]
 
 
 def cost_sampled(

@@ -155,6 +155,13 @@ class TestExitCodes:
         assert "NOISYQAOA_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "optimization.csv").exists()
 
+    def test_fidelity_threads_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiment", "fidelity", "--threads", "2", "--steps", "1", "--p", "0.01"])
+        assert code == EXIT_VALIDATION
+        assert "threads=2" in capsys.readouterr().err
+        assert not (tmp_path / "fidelity.csv").exists()
+
     def test_sampled_fidelity_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["experiment", "fidelity", "--mode", "sampled", "--shots", "3", "--steps", "1", "--p", "0.02"])

@@ -268,6 +268,17 @@ class TestFidelityExperiment:
         with pytest.raises(ValueError, match="mode 'sampled'"):
             run_fidelity_experiment(ExperimentConfig(**SMALL, mode="sampled"))
 
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_more_than_one_thread_rejected(self, threads):
+        # the experiment runs on one process: an explicit worker count above
+        # one would be silently ignored
+        with pytest.raises(ValueError, match=f"threads={threads}"):
+            run_fidelity_experiment(ExperimentConfig(**SMALL, threads=threads))
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_one_thread_accepted(self, fidelity_table, threads):
+        assert run_fidelity_experiment(ExperimentConfig(**SMALL, threads=threads)).rows == fidelity_table.rows
+
     @pytest.mark.parametrize("channel", ["depolarizing", "dephasing", "bitflip"])
     def test_rows_match_the_density_matrix(self, channel):
         # the driver reads F from the Pauli coefficients; the reference is
