@@ -238,15 +238,19 @@ def landscape_argmin(
     earlier cell. Default slice: 21 points each over [0, 1] (an
     asymmetric window, since (gamma, beta) -> (-gamma, -beta) leaves the
     cost invariant and would make the argmin cell degenerate on a
-    symmetric window). Each cell's cost equals cost_exact's bit for bit;
-    under a Pauli channel the cells of one gamma row share one sweep of
-    the edge layer and each runs only its mixers on the cost cone (see
-    qaoa), while the ideal landscape and other channels run cell by cell.
+    symmetric window). An empty axis is a ValueError. Each cell's cost
+    equals cost_exact's bit for bit; under a Pauli channel the cells of
+    one gamma row share one cone sweep of the edge layer and each runs
+    only its mixers (see qaoa), while the ideal landscape and other
+    channels run cell by cell.
     """
     if gammas is None:
         gammas = np.linspace(0.0, 1.0, 21)
     if betas is None:
         betas = np.linspace(0.0, 1.0, 21)
+    for name, axis in (("gamma", gammas), ("beta", betas)):
+        if len(axis) == 0:
+            raise ValueError(f"the landscape's {name} axis is empty")
     h = problem_hamiltonian(graph)
     best = None
     for ig, gamma in enumerate(gammas):
@@ -291,6 +295,13 @@ def ideal_optimized_params(config: ExperimentConfig, graph: WeightedGraph | None
     return {n: _ideal_descent(config, graph, n)[1].final_params for n in config.steps}
 
 
+def _one_process(config: ExperimentConfig, experiment: str) -> None:
+    """Reject an explicit threads above 1 for a driver that runs on one
+    process, so the setting is not silently ignored."""
+    if config.threads is not None and config.threads > 1:
+        raise ValueError(f"the {experiment} experiment runs on one process; setting threads={config.threads} is not read")
+
+
 def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     """Output-state fidelity F = <ideal|rho_noisy|ideal> over the (p, n) grid.
 
@@ -302,8 +313,7 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     """
     if config.mode != "exact":
         raise ValueError(f"the fidelity experiment runs in exact mode only, not mode {config.mode!r}")
-    if config.threads is not None and config.threads > 1:
-        raise ValueError(f"the fidelity experiment runs on one process; setting threads={config.threads} is not read")
+    _one_process(config, "fidelity")
     graph = resolve_graph(config.graph_source)
     m, E = graph.num_nodes, graph.num_edges
     rng = np.random.default_rng([config.seed, _STREAM_FIDELITY])
@@ -353,8 +363,10 @@ def run_cost_experiment(config: ExperimentConfig) -> ResultTable:
 
     In sampled mode each noisy cost carries ci_half = ci_cost / 2, one
     worst-case standard deviation of the estimate. Rows where the ideal
-    cost is numerically zero are flagged (y undefined).
+    cost is numerically zero are flagged (y undefined). It runs on one
+    process, so an explicit threads above 1 is rejected.
     """
+    _one_process(config, "cost")
     graph = resolve_graph(config.graph_source)
     h = problem_hamiltonian(graph)
     m, E = graph.num_nodes, graph.num_edges
@@ -424,8 +436,10 @@ def run_gradient_experiment(
     descent at the largest configured n. Parameters whose ideal
     derivative magnitude is below one worst-case standard deviation of
     its sampled estimate (L_gamma / 2 or L_beta / 2 of ci_gradient) are
-    flagged statistically unreliable in the metadata.
+    flagged statistically unreliable in the metadata. It runs on one
+    process, so an explicit threads above 1 is rejected.
     """
+    _one_process(config, "gradient")
     graph = resolve_graph(config.graph_source)
     m, E = graph.num_nodes, graph.num_edges
     if params is None:

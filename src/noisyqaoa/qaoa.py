@@ -22,17 +22,29 @@ statevector), the half of the coefficients that the global bit flip,
 the Z2 symmetry of Max-Cut QAOA, leaves nonzero; any other channel
 keeps all 4^m.
 
-The noisy cost needs only the end of that sweep's light cone. A mixer
-on qubit q rotates (Z_q, Y_q) and a Pauli channel scales each
-coefficient, so a circuit's trailing run of mixers moves a term's
-Z_i Z_j coefficient only among its four {Z,Y}_i {Z,Y}_j coefficients
-that are I on every other qubit: the cost cone, 4E of the 8,192 sector
-coefficients at m = 7 (_cost_cone, built once per register size and
-term list and kept, read-only). Under a Pauli channel cost_exact sweeps
-the gates before that run and finishes on the cone alone, with the
-same elementwise operations in the same order, so every cost is
-bit-equal to the full sweep's. An n = 1 landscape row shares one sweep
-of the edge layer between its cells (_landscape_row).
+Under a Pauli channel the noisy cost and its adjoint run on the sweep's
+two-sided light cone. A channel only scales coefficients and a gate only
+rotates the pairs of its table, so which coefficients can be nonzero,
+and which can reach a cost term, is fixed by the gate targets alone.
+Forward from |+>^m, whose nonzero coefficients are {I,X}^m, a gate's
+pair is live if either side is; back from the Z_i Z_j terms, a pair
+matters if either side is in the observable's support. _cone_plan, built
+once per (m, gate targets, term pairs) and kept, read-only, holds per
+gate the pairs live both ways, which the forward sweep rotates, and the
+pairs live backward, which the adjoint's backward sweep rotates (a gate
+whose backward pairs are over a quarter of its table keeps the table).
+The forward sweep holds only the cone, the coefficients those pairs and
+the terms touch: 59 of the 8,192 sector coefficients at n = 1 on table1
+and 1,126 at n = 2, with 3% and 10% of the pairs live both ways and
+backward at n = 2. cost_exact and adjoint_gradient_noisy run on the
+plan, and an n = 1 landscape row shares one cone sweep of its edge layer
+between its cells (_landscape_row). Every computed coefficient goes
+through the same elementwise operations in the same order as in the full
+sweep; the gradient's sums still run over each gate's whole table, with
+zero for the pairs not swept, so that each nonzero product keeps its
+place in the sum. Costs and gradients are therefore bit-equal to the
+full sweep's. run_exact_noisy, the fidelities and any other channel run
+the full sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ from .statevector import (
     DensityMatrix,
     SimulationError,
     StateVector,
+    _check_targets,
     _pair_table,
     apply_1q,
     apply_ptm,
@@ -218,29 +231,31 @@ class _Sweep(NamedTuple):
         return float(sum(w * self.r[k] for k, w in self.zz_terms(h)))
 
 
-def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = False,
-                 cone: bool = False) -> _Sweep:
+def _sector_scales(channel: NoiseChannel, m: int) -> list | None:
+    """channel.ptm_scales(m), once m passes the register-size check that
+    every exact noisy sweep makes before any 4^m array, the scales' included."""
+    if m > MAX_DENSE_QUBITS:
+        raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
+    return channel.ptm_scales(m)
+
+
+def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = False) -> _Sweep:
     """Pauli coefficients r of the noisy output of |+>^m, with the channel
     after every gate on each qubit it touches: the 4^m / 2 of the even
-    sector for a Pauli channel, else all 4^m. The one forward pass of
-    run_exact_noisy, cost_exact and adjoint_gradient_noisy; sigmas[k], when
-    store is set, holds the values of gate k's pairs after the gate and
-    before its channels. With cone set, a Pauli channel's sweep stops
-    before the circuit's trailing run of mixers, which _cone_cost finishes;
-    pairs then covers the swept gates only."""
+    sector for a Pauli channel, else all 4^m. The full forward pass of
+    run_exact_noisy and the fidelities, and of cost_exact and
+    adjoint_gradient_noisy under any other channel; sigmas[k], when store
+    is set, holds the values of gate k's pairs after the gate and before
+    its channels."""
     m = circuit.num_qubits
-    if m > MAX_DENSE_QUBITS:  # before any 4^m array, the scales' included
-        raise ValueError(f"density-matrix evolution limited to {MAX_DENSE_QUBITS} qubits")
-    R, scales = channel.ptm, channel.ptm_scales(m)
-    gates = circuit.gates
-    if cone and scales is not None:
-        gates = gates[:_tail_start(gates)]
-    pairs = [rotation_pairs(gate, m, scales is not None) for gate in gates]
+    scales = _sector_scales(channel, m)
+    R = channel.ptm
+    pairs = [rotation_pairs(gate, m, scales is not None) for gate in circuit.gates]
     r = np.zeros((4,) * (m - 1) + (4 if scales is None else 2,))  # the sector drops qubit 0's Y/Z bit
     r[(slice(0, 2),) * m] = 1.0  # |+>^m
     r, spare = r.reshape(-1), np.empty(r.size)
     sigmas = np.empty((len(pairs), 2, r.size // 4)) if store else None
-    for k, (gate, idx) in enumerate(zip(gates, pairs)):
+    for k, (gate, idx) in enumerate(zip(circuit.gates, pairs)):
         rotated = rotate_pairs(r, idx, 2.0 * gate.weight * gate.angle)
         if store:
             sigmas[k] = rotated
@@ -248,46 +263,103 @@ def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = Fal
     return _Sweep(r, scales, pairs, sigmas)
 
 
-def _tail_start(gates) -> int:
-    """Index of the first gate of the trailing run of mixers (len(gates)
-    when the last gate is an edge gate)."""
-    k = len(gates)
-    while k and gates[k - 1].param == "beta":
-        k -= 1
-    return k
+# a gate whose backward pairs are more than this share of its table keeps
+# the whole table: rotating it from the values the gradient has gathered
+# anyway costs about as much as gathering the share again, and a copy
+# would hold memory for nothing (measured on table1 at n = 2..4)
+_FULL_SHARE = 0.25
+
+
+class _ConePlan(NamedTuple):
+    """The two-sided light cone of a circuit structure under a Pauli
+    channel, read-only (see the module docstring): each gate's sector pair
+    table; the sorted sector positions of the cone; |+>^m on the cone; each
+    term's Z_i Z_j position in the cone; per gate, its pairs live both
+    ways as cone positions, with their columns in the gate's table; and
+    per gate, its pairs live backward as sector positions (the table
+    itself when they are over _FULL_SHARE of it)."""
+
+    tables: tuple
+    cone: np.ndarray
+    start: np.ndarray
+    terms: np.ndarray
+    forward: tuple
+    backward: tuple
+
+
+def _live_pairs(tables, live: np.ndarray) -> list:
+    """Per table, in order, the boolean columns whose pair has a side in
+    live, the mask of the coefficients that can be nonzero; both sides of
+    such a pair join live (a gate's pairs are disjoint)."""
+    columns = []
+    for table in tables:
+        sides = live.take(table)
+        cols = sides[0] | sides[1]
+        live[table[0]] = cols  # one scatter per side beats one broadcast into both
+        live[table[1]] = cols
+        columns.append(cols)
+    return columns
 
 
 @lru_cache(maxsize=128)
-def _cost_cone(m: int, pairs: tuple) -> tuple:
-    """The cost cone of the terms on the qubit pairs (i, j), as read-only
-    (C, tables, terms): the sorted sector positions C of every {Z,Y}_i
-    {Z,Y}_j coefficient (I on every other qubit), each qubit's mixer pair
-    table restricted to C and given as positions in C, and each term's
-    Z_i Z_j position in C."""
-    C = np.array(sorted({sector_position(a * 4 ** i + b * 4 ** j)
-                         for i, j in pairs for a in (2, 3) for b in (2, 3)}), dtype=np.intp)
-    tables = []
-    for q in range(m):
-        table = _pair_table(m, (q,), True)
-        tables.append(np.searchsorted(C, table[:, np.isin(table[0], C)]))
-    terms = np.searchsorted(C, [sector_position(3 * (4 ** i + 4 ** j)) for i, j in pairs])
-    for a in [C, terms, *tables]:
+def _cone_plan(m: int, targets: tuple, pairs: tuple) -> _ConePlan:
+    """The _ConePlan of the gates on the targets, in order, for the terms on
+    the qubit pairs (i, j)."""
+    for t in targets:
+        _check_targets(m, t)
+    tables = tuple(_pair_table(m, t, True) for t in targets)
+    plus = np.zeros((4,) * (m - 1) + (2,), dtype=bool)
+    plus[(slice(0, 2),) * m] = True  # |+>^m: the {I, X}^m coefficients
+    plus = plus.reshape(-1)
+    ahead = _live_pairs(tables, plus.copy())
+    terms = [sector_position(3 * (4 ** i + 4 ** j)) for i, j in pairs]
+    held = np.zeros(plus.size, dtype=bool)
+    held[terms] = True
+    behind = _live_pairs(tables[::-1], held.copy())[::-1]
+    columns = [(a & b).nonzero()[0] for a, b in zip(ahead, behind)]
+    swept = [table.take(cols, axis=1) for table, cols in zip(tables, columns)]
+    for table in swept:
+        held[table] = True
+    cone = np.flatnonzero(held)
+    where = np.zeros(plus.size, dtype=np.intp)
+    where[cone] = np.arange(cone.size)
+    forward = tuple((where.take(table), cols) for table, cols in zip(swept, columns))
+    backward = tuple(table if np.count_nonzero(cols) > _FULL_SHARE * cols.size
+                     else table.take(cols.nonzero()[0], axis=1) for table, cols in zip(tables, behind))
+    plan = _ConePlan(tables, cone, plus[cone].astype(float), where[terms], forward, backward)
+    for a in [plan.cone, plan.start, plan.terms, *backward, *(x for f in forward for x in f)]:
         a.setflags(write=False)
-    return C, tuple(tables), terms
+    return plan
 
 
-def _cone_cost(sweep: _Sweep, m: int, mixers, h: ProblemHamiltonian) -> float:
-    """<H_p> after the mixers and their channels, from a Pauli channel's
-    sweep r of the gates before them, run on r's cost cone alone (the
-    same operations as _noisy_sweep on those coefficients, summed as
-    _Sweep.cost)."""
-    C, tables, terms = _cost_cone(m, tuple((i, j) for i, j, _ in h.terms))
-    r = sweep.r[C]
-    for gate in mixers:
-        (q,) = gate.targets
-        rotate_pairs(r, tables[q], 2.0 * gate.weight * gate.angle)
-        r *= sweep.scales[q][C]
-    return float(sum(w * r[k] for k, (_, _, w) in zip(terms, h.terms)))
+def _plan_of(circuit: GateSequence, h: ProblemHamiltonian) -> _ConePlan:
+    return _cone_plan(circuit.num_qubits, tuple(g.targets for g in circuit.gates),
+                      tuple((i, j) for i, j, _ in h.terms))
+
+
+def _cone_sweep(plan: _ConePlan, scales: list, gates, r: np.ndarray | None = None, first: int = 0,
+                sigmas: np.ndarray | None = None) -> np.ndarray:
+    """r, coefficients on the plan's cone (by default a copy of its start),
+    through the gates of its circuit from index first on and their
+    channels, in place: each gate rotates its pairs live both ways, and
+    scales, the channel's ptm_scales on the cone, apply the channel.
+    sigmas[k], when given, receives gate k's rotated pairs at their
+    columns. Returns r."""
+    if r is None:
+        r = plan.start.copy()
+    for k, gate in enumerate(gates, first):
+        pairs, cols = plan.forward[k]
+        rotated = rotate_pairs(r, pairs, 2.0 * gate.weight * gate.angle)
+        if sigmas is not None:
+            sigmas[k][:, cols] = rotated
+        for q in gate.targets:
+            r *= scales[q]
+    return r
+
+
+def _cone_cost(plan: _ConePlan, h: ProblemHamiltonian, r: np.ndarray) -> float:
+    """<H_p> from the coefficients on the cone, summed as _Sweep.cost."""
+    return float(sum(w * r[k] for k, (_, _, w) in zip(plan.terms, h.terms)))
 
 
 def run_exact_noisy(circuit: GateSequence, channel: NoiseChannel) -> DensityMatrix:
@@ -367,24 +439,38 @@ def adjoint_gradient_noisy(
     -sigma_B and d sigma_B / d phi = sigma_A, and the gate's term is
     2 w sum (E_B . sigma_A - E_A . sigma_B), with E the pairs of e behind
     the gate's channels, all in real arithmetic. This equals the
-    shifted-evaluation construction to rounding. Returns (cost, d_gamma,
-    d_beta).
+    shifted-evaluation construction to rounding. Under a Pauli channel the
+    forward sweep runs on the cone, sigma_k is zero outside the pairs live
+    both ways, and the backward sweep rotates the pairs live backward
+    alone (see the module docstring). Returns (cost, d_gamma, d_beta).
     """
-    n = _num_steps(circuit)
-    sweep = _noisy_sweep(circuit, channel, store=True)
-    r, scales, pairs, sigmas = sweep
+    n, m = _num_steps(circuit), circuit.num_qubits
+    scales = _sector_scales(channel, m)
+    if scales is None:
+        sweep = _noisy_sweep(circuit, channel, store=True)
+        cost, tables, sigmas = sweep.cost(h), sweep.pairs, sweep.sigmas
+        backward, terms = tables, [k for k, _ in sweep.zz_terms(h)]
+    else:
+        plan = _plan_of(circuit, h)
+        tables, backward = plan.tables, plan.backward
+        sigmas = np.zeros((len(tables), 2, 4 ** m // 8))
+        r = _cone_sweep(plan, [s[plan.cone] for s in scales], circuit.gates, sigmas=sigmas)
+        cost = _cone_cost(plan, h, r)
+        terms = plan.cone[plan.terms]
     R_adj = channel.ptm.T  # scales serve as their own adjoint
-    e, spare = np.zeros(r.size), np.empty(r.size)
-    for k, w in sweep.zz_terms(h):
+    size = 4 ** m if scales is None else 4 ** m // 2
+    e, spare = np.zeros(size), np.empty(size)
+    for k, (_, _, w) in zip(terms, h.terms):
         e[k] += w
     grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
-    for gate, idx, sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
+    steps = zip(reversed(circuit.gates), reversed(tables), reversed(backward), sigmas[::-1])
+    for gate, idx, back, sigma in steps:
         e, spare = _channel_on(e, spare, R_adj, scales, gate.targets)
-        E = e[idx]
+        E = e.take(idx)
         term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
         grads[gate.param][gate.step] += 2.0 * gate.weight * term
-        rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, E)
-    return sweep.cost(h), grads["gamma"], grads["beta"]
+        rotate_pairs(e, back, -2.0 * gate.weight * gate.angle, E if back is idx else None)
+    return cost, grads["gamma"], grads["beta"]
 
 
 def noise_event_count(circuit: GateSequence) -> int:
@@ -528,26 +614,28 @@ def cost_exact(
     """<H_p> of the circuit output: ideal, or exact-noisy if given a channel."""
     if channel is None:
         return exact_expectation(run_ideal(circuit), h)
-    sweep = _noisy_sweep(circuit, channel, cone=True)
-    if sweep.scales is None:
-        return sweep.cost(h)
-    return _cone_cost(sweep, circuit.num_qubits, circuit.gates[len(sweep.pairs):], h)
+    scales = _sector_scales(channel, circuit.num_qubits)
+    if scales is None:
+        return _noisy_sweep(circuit, channel).cost(h)
+    plan = _plan_of(circuit, h)
+    return _cone_cost(plan, h, _cone_sweep(plan, [s[plan.cone] for s in scales], circuit.gates))
 
 
 def _landscape_row(graph: WeightedGraph, h: ProblemHamiltonian, channel: NoiseChannel | None,
                   gamma: float, betas) -> list:
     """cost_exact of the n=1 circuit (gamma, beta) for each beta. Under a
-    Pauli channel the cells share one sweep of the edge layer, and each
-    runs only its mixers on the cost cone; any other channel, and the
-    ideal cost, run cell by cell."""
+    Pauli channel the cells share one cone sweep of the edge layer, and
+    each runs only its mixers; any other channel, and the ideal cost, run
+    cell by cell."""
     circuits = [build_circuit(graph, QaoaParams([gamma], [beta])) for beta in betas]
-    if channel is None or not circuits:
+    scales = None if channel is None or not circuits else _sector_scales(channel, graph.num_nodes)
+    if scales is None:
         return [cost_exact(circuit, h, channel) for circuit in circuits]
-    sweep = _noisy_sweep(circuits[0], channel, cone=True)
-    if sweep.scales is None:  # no cone: the sweep is the first cell's
-        return [sweep.cost(h)] + [cost_exact(circuit, h, channel) for circuit in circuits[1:]]
-    cut = len(sweep.pairs)
-    return [_cone_cost(sweep, graph.num_nodes, circuit.gates[cut:], h) for circuit in circuits]
+    plan, cut = _plan_of(circuits[0], h), graph.num_edges
+    scales = [s[plan.cone] for s in scales]
+    edges = _cone_sweep(plan, scales, circuits[0].gates[:cut])
+    return [_cone_cost(plan, h, _cone_sweep(plan, scales, circuit.gates[cut:], edges.copy(), cut))
+            for circuit in circuits]
 
 
 def cost_sampled(

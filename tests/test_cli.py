@@ -162,6 +162,15 @@ class TestExitCodes:
         assert "threads=2" in capsys.readouterr().err
         assert not (tmp_path / "fidelity.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["cost", "gradient"])
+    def test_one_process_threads_is_validation_error(self, experiment, tmp_path, monkeypatch, capsys):
+        # the cost and gradient experiments run on one process, as fidelity does
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiment", experiment, "--threads", "2", "--steps", "1", "--p", "0.01", "--iters", "2"])
+        assert code == EXIT_VALIDATION
+        assert f"{experiment} experiment runs on one process; setting threads=2" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
     def test_sampled_fidelity_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["experiment", "fidelity", "--mode", "sampled", "--shots", "3", "--steps", "1", "--p", "0.02"])

@@ -1,13 +1,15 @@
-"""The noisy cost on its light cone, against the full even-sector sweep.
+"""The noisy cost and adjoint on the two-sided light cone, against the
+full even-sector sweep.
 
-Under a Pauli channel, cost_exact sweeps the gates before the circuit's
-trailing run of mixers and finishes on the cost cone: the {Z,Y}_i {Z,Y}_j
-coefficients of each term, which are all those mixers and their channels
-move a Z_i Z_j coefficient among. landscape_argmin shares one sweep of
-the edge layer per gamma row. Both run the same elementwise operations on
-every coefficient as the full sweep, so they are compared with ==, not at
-a tolerance.
+Under a Pauli channel, cost_exact and adjoint_gradient_noisy sweep only
+the coefficient pairs that |+>^m can reach and a cost term can see (the
+cone plan of qaoa), and landscape_argmin shares one cone sweep of the edge
+layer per gamma row. They run the same elementwise operations on every
+coefficient they compute as the full sweep and the full-sector adjoint
+loop below, so they are compared with ==, not at a tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,18 +17,39 @@ from hypothesis import given, settings, strategies as st
 
 from noisyqaoa import QaoaParams, build_circuit, cost_exact, make_channel, problem_hamiltonian
 from noisyqaoa.experiments import landscape_argmin
-from noisyqaoa.qaoa import GateSequence, _cost_cone, _landscape_row, _noisy_sweep, with_shifted_gate
-from noisyqaoa.statevector import sector_position
-from test_even_sector import amplitude_damping, pauli_mixture
+from noisyqaoa.noise import custom_channel
+from noisyqaoa.qaoa import (
+    GateSequence,
+    _FULL_SHARE,
+    _channel_on,
+    _cone_plan,
+    _landscape_row,
+    _noisy_sweep,
+    _plan_of,
+    adjoint_gradient_noisy,
+    with_shifted_gate,
+)
+from noisyqaoa.statevector import rotate_pairs
+from test_even_sector import PAULIS, amplitude_damping
 from test_ideal_oracle import graphs
 
 KINDS = ("dephasing", "bitflip", "depolarizing", "pauli-mixture")
+STRENGTHS = (0.0, 1e-4, 0.02, 0.3, 1.0)
+
+
+def channel_at(kind, p, rng):
+    """The named channel at strength p, or a random Pauli mixture with
+    weight 1 - p on the identity, its Kraus operators carrying random
+    phases."""
+    if kind != "pauli-mixture":
+        return make_channel(kind, p)
+    w = p * rng.dirichlet(np.ones(4))
+    w[0] += 1.0 - p
+    return custom_channel([math.sqrt(wi) * np.exp(2j * np.pi * rng.random()) * P for wi, P in zip(w, PAULIS)])
 
 
 def channel_of(kind, rng):
-    if kind == "pauli-mixture":
-        return pauli_mixture(rng)
-    return make_channel(kind, rng.uniform(0.0, 0.3))
+    return channel_at(kind, rng.uniform(0.0, 0.3), rng)
 
 
 def variants(circuit, rng):
@@ -46,6 +69,77 @@ def full_cost(circuit, h, channel):
     return _noisy_sweep(circuit, channel).cost(h)
 
 
+def full_adjoint(circuit, h, channel):
+    """The full-sector adjoint loop the cone replaced: every gate rotates
+    its whole pair table, forward and backward."""
+    n = 1 + max(g.step for g in circuit.gates)
+    sweep = _noisy_sweep(circuit, channel, store=True)
+    r, scales, pairs, sigmas = sweep
+    R_adj = channel.ptm.T
+    e, spare = np.zeros(r.size), np.empty(r.size)
+    for k, w in sweep.zz_terms(h):
+        e[k] += w
+    grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
+    for gate, idx, sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
+        e, spare = _channel_on(e, spare, R_adj, scales, gate.targets)
+        E = e[idx]
+        term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
+        grads[gate.param][gate.step] += 2.0 * gate.weight * term
+        rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, E)
+    return sweep.cost(h), grads["gamma"], grads["beta"]
+
+
+def random_circuit(graph, n, rng):
+    return build_circuit(graph, QaoaParams(rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n)))
+
+
+def assert_cone_costs(graph, n, channel, rng):
+    h = problem_hamiltonian(graph)
+    for name, variant in variants(random_circuit(graph, n, rng), rng).items():
+        assert cost_exact(variant, h, channel) == full_cost(variant, h, channel), name
+
+
+def assert_cone_adjoint(graph, n, channel, rng):
+    h = problem_hamiltonian(graph)
+    for name, variant in variants(random_circuit(graph, n, rng), rng).items():
+        cost, d_gamma, d_beta = adjoint_gradient_noisy(variant, h, channel)
+        want = full_adjoint(variant, h, channel)
+        assert cost == want[0], name
+        assert np.array_equal(d_gamma, want[1]) and np.array_equal(d_beta, want[2]), name
+
+
+@given(graph=graphs(), n=st.integers(1, 3), kind=st.sampled_from(KINDS), p=st.sampled_from(STRENGTHS),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cone_cost_is_the_full_sweep_cost(graph, n, kind, p, seed):
+    rng = np.random.default_rng(seed)
+    assert_cone_costs(graph, n, channel_at(kind, p, rng), rng)
+
+
+@given(graph=graphs(), n=st.integers(1, 3), kind=st.sampled_from(KINDS), p=st.sampled_from(STRENGTHS),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cone_adjoint_is_the_full_adjoint(graph, n, kind, p, seed):
+    rng = np.random.default_rng(seed)
+    assert_cone_adjoint(graph, n, channel_at(kind, p, rng), rng)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cone_cost_on_table1(table1, n, kind):
+    rng = np.random.default_rng(100 * n + KINDS.index(kind))
+    for p in STRENGTHS:
+        assert_cone_costs(table1, n, channel_at(kind, p, rng), rng)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cone_adjoint_on_table1(table1, n, kind):
+    rng = np.random.default_rng(200 * n + KINDS.index(kind))
+    for p in STRENGTHS:
+        assert_cone_adjoint(table1, n, channel_at(kind, p, rng), rng)
+
+
 def first_minimum(costs):
     """(row, column, cost) of the first strict minimum in row-major order."""
     best = None
@@ -58,27 +152,6 @@ def first_minimum(costs):
 
 def per_cell(graph, cost, gammas, betas):
     return [[cost(build_circuit(graph, QaoaParams([g], [b]))) for b in betas] for g in gammas]
-
-
-def assert_cone_costs(graph, n, channel, rng):
-    h = problem_hamiltonian(graph)
-    circuit = build_circuit(graph, QaoaParams(rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n)))
-    for name, variant in variants(circuit, rng).items():
-        assert cost_exact(variant, h, channel) == full_cost(variant, h, channel), name
-
-
-@given(graph=graphs(), n=st.integers(1, 3), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_cone_cost_is_the_full_sweep_cost(graph, n, kind, seed):
-    rng = np.random.default_rng(seed)
-    assert_cone_costs(graph, n, channel_of(kind, rng), rng)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_cone_cost_on_table1(table1, n, kind):
-    rng = np.random.default_rng(100 * n + KINDS.index(kind))
-    assert_cone_costs(table1, n, channel_of(kind, rng), rng)
 
 
 @given(graph=graphs(), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
@@ -117,25 +190,35 @@ def test_other_landscapes_stay_per_cell(table1, table1_h, channel):
     assert landscape_argmin(table1, channel, axis, axis) == first_minimum(expected)
 
 
-class TestConeTables:
-    def test_cone_is_each_terms_yz_block(self, table1):
-        pairs = tuple((i, j) for i, j, _ in table1.edges)
-        C, tables, terms = _cost_cone(table1.num_nodes, pairs)
-        expected = {sector_position(a * 4 ** i + b * 4 ** j) for i, j in pairs for a in (2, 3) for b in (2, 3)}
-        assert C.tolist() == sorted(expected) and C.size == 4 * len(pairs)
-        assert C[terms].tolist() == [sector_position(3 * (4 ** i + 4 ** j)) for i, j in pairs]
-        # each qubit's mixer rotates (Z_q, Y_q) of the two terms' blocks it touches
-        for q, table in enumerate(tables):
-            assert table.shape == (2, 2 * sum(q in pair for pair in pairs))
-
-    def test_tables_are_read_only_and_built_once(self, table1, table1_h):
+class TestConePlan:
+    def test_plan_is_read_only_and_built_once(self, table1, table1_h):
         circuit = build_circuit(table1, QaoaParams([0.3], [0.4]))
         channel = make_channel("dephasing", 0.02)
-        _cost_cone.cache_clear()
+        _cone_plan.cache_clear()
         cost_exact(circuit, table1_h, channel)
-        cone = _cost_cone(table1.num_nodes, tuple((i, j) for i, j, _ in table1.edges))
+        adjoint_gradient_noisy(circuit, table1_h, channel)
         landscape_argmin(table1, channel, [0.1, 0.2], [0.3, 0.4])
-        assert _cost_cone.cache_info().misses == 1
-        for array in (cone[0], cone[2], *cone[1]):
+        plan = _plan_of(circuit, table1_h)
+        assert _cone_plan.cache_info().misses == 1
+        cost_exact(build_circuit(table1, QaoaParams([0.3, 0.1], [0.4, 0.2])), table1_h, channel)
+        assert _cone_plan.cache_info().misses == 2
+        arrays = [plan.cone, plan.start, plan.terms, *plan.backward, *(a for pair in plan.forward for a in pair)]
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = 0
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_forward_pairs_are_backward_pairs_on_the_cone(self, table1, table1_h, n):
+        plan = _plan_of(build_circuit(table1, QaoaParams(np.ones(n), np.ones(n))), table1_h)
+        for table, back, (pairs, cols) in zip(plan.tables, plan.backward, plan.forward):
+            assert np.array_equal(plan.cone[pairs], table[:, cols])
+            assert np.isin(table[0, cols], back[0]).all()
+        # at n = 1 the cone is a small part of the 8,192-coefficient sector
+        assert plan.cone.size <= (64 if n == 1 else 4 ** table1.num_nodes // 4)
+
+    def test_a_gate_whose_share_is_large_keeps_its_table(self, table1, table1_h):
+        plan = _plan_of(build_circuit(table1, QaoaParams(np.ones(4), np.ones(4))), table1_h)
+        kept = [back is table for back, table in zip(plan.backward, plan.tables)]
+        assert any(kept) and not all(kept)
+        for back, table in zip(plan.backward, plan.tables):
+            assert back is table or back.shape[1] <= _FULL_SHARE * table.shape[1]

@@ -312,6 +312,17 @@ class TestCostExperiment:
     def test_exact_mode_has_zero_ci(self, cost_table):
         assert all(row[7] == 0.0 for row in cost_table.rows)
 
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_more_than_one_thread_rejected(self, threads):
+        # the experiment runs on one process: an explicit worker count above
+        # one would be silently ignored
+        with pytest.raises(ValueError, match=f"cost experiment runs on one process; setting threads={threads}"):
+            run_cost_experiment(ExperimentConfig(**SMALL, threads=threads))
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_one_thread_accepted(self, cost_table, threads):
+        assert run_cost_experiment(ExperimentConfig(**SMALL, threads=threads)).rows == cost_table.rows
+
 
 class TestGradientExperiment:
     def test_ratio_one_at_p_zero(self, gradient_table):
@@ -335,6 +346,15 @@ class TestGradientExperiment:
         t = run_gradient_experiment(cfg, params=QaoaParams([0.4], [0.3]))
         assert t.metadata["n"] == 1
         assert np.asarray(t.metadata["params"]["gamma"]).tolist() == [0.4]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_more_than_one_thread_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"gradient experiment runs on one process; setting threads={threads}"):
+            run_gradient_experiment(ExperimentConfig(**SMALL, threads=threads))
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_one_thread_accepted(self, gradient_table, threads):
+        assert run_gradient_experiment(ExperimentConfig(**SMALL, threads=threads)).rows == gradient_table.rows
 
 
 class TestOptimizationExperiment:
@@ -406,6 +426,14 @@ class TestLandscapeArgmin:
         ideal = landscape_argmin(single_edge)
         noisy = landscape_argmin(single_edge, make_channel("depolarizing", 0.05))
         assert noisy[2] > ideal[2]  # flattened minimum is less deep
+
+    @pytest.mark.parametrize("channel", [None, make_channel("depolarizing", 0.01)], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("empty", ["gamma", "beta"])
+    def test_empty_axis_rejected(self, single_edge, channel, empty):
+        axes = {"gammas": [0.1, 0.2], "betas": [0.3]}
+        axes[empty + "s"] = []
+        with pytest.raises(ValueError, match=f"{empty} axis is empty"):
+            landscape_argmin(single_edge, channel, **axes)
 
 
 @pytest.mark.parametrize(
