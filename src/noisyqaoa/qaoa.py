@@ -30,21 +30,22 @@ Forward from |+>^m, whose nonzero coefficients are {I,X}^m, a gate's
 pair is live if either side is; back from the Z_i Z_j terms, a pair
 matters if either side is in the observable's support. _cone_plan, built
 once per (m, gate targets, term pairs) and kept, read-only, holds per
-gate the pairs live both ways, which the forward sweep rotates, and the
-pairs live backward, which the adjoint's backward sweep rotates (a gate
-whose backward pairs are over a quarter of its table keeps the table).
-The forward sweep holds only the cone, the coefficients those pairs and
-the terms touch: 59 of the 8,192 sector coefficients at n = 1 on table1
-and 1,126 at n = 2, with 3% and 10% of the pairs live both ways and
-backward at n = 2. cost_exact and adjoint_gradient_noisy run on the
-plan, and an n = 1 landscape row shares one cone sweep of its edge layer
-between its cells (_landscape_row). Every computed coefficient goes
-through the same elementwise operations in the same order as in the full
-sweep; the gradient's sums still run over each gate's whole table, with
-zero for the pairs not swept, so that each nonzero product keeps its
-place in the sum. Costs and gradients are therefore bit-equal to the
-full sweep's. run_exact_noisy, the fidelities and any other channel run
-the full sweep.
+gate the pairs live both ways, which the sweeps rotate: the cone, the
+coefficients those pairs and the terms touch, is 59 of the 8,192 sector
+coefficients at n = 1 on table1 and 1,126 at n = 2, where 3% of the
+pairs are live both ways. cost_exact and adjoint_gradient_noisy run on
+the plan, and an n = 1 landscape row shares one cone sweep of its edge
+layer between its cells (_landscape_row). The adjoint's backward sweep
+rotates the same pairs: a coefficient live forward at a gate stays live
+at every later gate, so behind each gate e is exact on the coefficients
+live forward there, the only ones its gradient term reads with a nonzero
+weight. Every computed coefficient goes through the same elementwise
+operations in the same order as in the full sweep; the gradient's sums
+still run over each gate's whole table, with zero weight for the pairs
+not swept, so that each nonzero product keeps its place in the sum.
+Costs and gradients are therefore bit-equal to the full sweep's.
+run_exact_noisy, the fidelities and any other channel run the full
+sweep.
 """
 
 from __future__ import annotations
@@ -263,28 +264,17 @@ def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = Fal
     return _Sweep(r, scales, pairs, sigmas)
 
 
-# a gate whose backward pairs are more than this share of its table keeps
-# the whole table: rotating it from the values the gradient has gathered
-# anyway costs about as much as gathering the share again, and a copy
-# would hold memory for nothing (measured on table1 at n = 2..4)
-_FULL_SHARE = 0.25
-
-
 class _ConePlan(NamedTuple):
     """The two-sided light cone of a circuit structure under a Pauli
-    channel, read-only (see the module docstring): each gate's sector pair
-    table; the sorted sector positions of the cone; |+>^m on the cone; each
-    term's Z_i Z_j position in the cone; per gate, its pairs live both
-    ways as cone positions, with their columns in the gate's table; and
-    per gate, its pairs live backward as sector positions (the table
-    itself when they are over _FULL_SHARE of it)."""
+    channel, read-only (see the module docstring): the sorted sector
+    positions of the cone; |+>^m on the cone; each term's Z_i Z_j position
+    in the cone; and per gate, its pairs live both ways as cone positions,
+    with their columns in the gate's sector pair table."""
 
-    tables: tuple
     cone: np.ndarray
     start: np.ndarray
     terms: np.ndarray
-    forward: tuple
-    backward: tuple
+    gates: tuple
 
 
 def _live_pairs(tables, live: np.ndarray) -> list:
@@ -304,10 +294,12 @@ def _live_pairs(tables, live: np.ndarray) -> list:
 @lru_cache(maxsize=128)
 def _cone_plan(m: int, targets: tuple, pairs: tuple) -> _ConePlan:
     """The _ConePlan of the gates on the targets, in order, for the terms on
-    the qubit pairs (i, j)."""
+    the qubit pairs (i, j). Its index arrays take three int64 per pair
+    live both ways, at n = 4 about 1.4 times the pair tables the full
+    sweep keeps: 0.8 MB on table1 and 309 MB at m = 11 (16 edges)."""
     for t in targets:
         _check_targets(m, t)
-    tables = tuple(_pair_table(m, t, True) for t in targets)
+    tables = [_pair_table(m, t, True) for t in targets]
     plus = np.zeros((4,) * (m - 1) + (2,), dtype=bool)
     plus[(slice(0, 2),) * m] = True  # |+>^m: the {I, X}^m coefficients
     plus = plus.reshape(-1)
@@ -323,11 +315,9 @@ def _cone_plan(m: int, targets: tuple, pairs: tuple) -> _ConePlan:
     cone = np.flatnonzero(held)
     where = np.zeros(plus.size, dtype=np.intp)
     where[cone] = np.arange(cone.size)
-    forward = tuple((where.take(table), cols) for table, cols in zip(swept, columns))
-    backward = tuple(table if np.count_nonzero(cols) > _FULL_SHARE * cols.size
-                     else table.take(cols.nonzero()[0], axis=1) for table, cols in zip(tables, behind))
-    plan = _ConePlan(tables, cone, plus[cone].astype(float), where[terms], forward, backward)
-    for a in [plan.cone, plan.start, plan.terms, *backward, *(x for f in forward for x in f)]:
+    gates = tuple((where.take(table), cols) for table, cols in zip(swept, columns))
+    plan = _ConePlan(cone, plus[cone].astype(float), where[terms], gates)
+    for a in [plan.cone, plan.start, plan.terms, *(x for g in gates for x in g)]:
         a.setflags(write=False)
     return plan
 
@@ -348,7 +338,7 @@ def _cone_sweep(plan: _ConePlan, scales: list, gates, r: np.ndarray | None = Non
     if r is None:
         r = plan.start.copy()
     for k, gate in enumerate(gates, first):
-        pairs, cols = plan.forward[k]
+        pairs, cols = plan.gates[k]
         rotated = rotate_pairs(r, pairs, 2.0 * gate.weight * gate.angle)
         if sigmas is not None:
             sigmas[k][:, cols] = rotated
@@ -440,36 +430,38 @@ def adjoint_gradient_noisy(
     2 w sum (E_B . sigma_A - E_A . sigma_B), with E the pairs of e behind
     the gate's channels, all in real arithmetic. This equals the
     shifted-evaluation construction to rounding. Under a Pauli channel the
-    forward sweep runs on the cone, sigma_k is zero outside the pairs live
-    both ways, and the backward sweep rotates the pairs live backward
-    alone (see the module docstring). Returns (cost, d_gamma, d_beta).
+    forward sweep runs on the cone, sigma_k is zero outside gate k's pairs
+    live both ways, and the backward sweep also runs on the cone and
+    rotates those pairs alone, which keeps e exact wherever sigma is
+    nonzero (see the module docstring). Returns (cost, d_gamma, d_beta).
     """
     n, m = _num_steps(circuit), circuit.num_qubits
     scales = _sector_scales(channel, m)
     if scales is None:
         sweep = _noisy_sweep(circuit, channel, store=True)
-        cost, tables, sigmas = sweep.cost(h), sweep.pairs, sweep.sigmas
-        backward, terms = tables, [k for k, _ in sweep.zz_terms(h)]
+        cost, sigmas, e = sweep.cost(h), sweep.sigmas, np.zeros(sweep.r.size)
+        pairs, terms = [(idx, slice(None)) for idx in sweep.pairs], [k for k, _ in sweep.zz_terms(h)]
     else:
         plan = _plan_of(circuit, h)
-        tables, backward = plan.tables, plan.backward
-        sigmas = np.zeros((len(tables), 2, 4 ** m // 8))
-        r = _cone_sweep(plan, [s[plan.cone] for s in scales], circuit.gates, sigmas=sigmas)
-        cost = _cone_cost(plan, h, r)
-        terms = plan.cone[plan.terms]
+        scales = [s[plan.cone] for s in scales]
+        sigmas = np.zeros((len(plan.gates), 2, 4 ** m // 8))
+        cost = _cone_cost(plan, h, _cone_sweep(plan, scales, circuit.gates, sigmas=sigmas))
+        e, pairs, terms = np.zeros(plan.cone.size), plan.gates, plan.terms
     R_adj = channel.ptm.T  # scales serve as their own adjoint
-    size = 4 ** m if scales is None else 4 ** m // 2
-    e, spare = np.zeros(size), np.empty(size)
+    spare = np.empty(e.size)
     for k, (_, _, w) in zip(terms, h.terms):
         e[k] += w
+    # E holds each gate's pairs of e at their columns; its other columns
+    # keep earlier gates' values, finite, which meet zeros in sigma
+    E = np.zeros_like(sigmas[0])
     grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
-    steps = zip(reversed(circuit.gates), reversed(tables), reversed(backward), sigmas[::-1])
-    for gate, idx, back, sigma in steps:
+    for gate, (idx, cols), sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
         e, spare = _channel_on(e, spare, R_adj, scales, gate.targets)
-        E = e.take(idx)
+        live = e.take(idx)
+        E[:, cols] = live
         term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
         grads[gate.param][gate.step] += 2.0 * gate.weight * term
-        rotate_pairs(e, back, -2.0 * gate.weight * gate.angle, E if back is idx else None)
+        rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, live)
     return cost, grads["gamma"], grads["beta"]
 
 

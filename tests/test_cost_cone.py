@@ -20,7 +20,6 @@ from noisyqaoa.experiments import landscape_argmin
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import (
     GateSequence,
-    _FULL_SHARE,
     _channel_on,
     _cone_plan,
     _landscape_row,
@@ -29,8 +28,8 @@ from noisyqaoa.qaoa import (
     adjoint_gradient_noisy,
     with_shifted_gate,
 )
-from noisyqaoa.statevector import rotate_pairs
-from test_even_sector import PAULIS, amplitude_damping
+from noisyqaoa.statevector import _pair_table, rotate_pairs
+from test_even_sector import PAULIS, amplitude_damping, pauli_mixture
 from test_ideal_oracle import graphs
 
 KINDS = ("dephasing", "bitflip", "depolarizing", "pauli-mixture")
@@ -49,7 +48,11 @@ def channel_at(kind, p, rng):
 
 
 def channel_of(kind, rng):
-    return channel_at(kind, rng.uniform(0.0, 0.3), rng)
+    """The named channel at a random strength, or a Pauli mixture drawn
+    over the whole simplex."""
+    if kind == "pauli-mixture":
+        return pauli_mixture(rng)
+    return make_channel(kind, rng.uniform(0.0, 0.3))
 
 
 def variants(circuit, rng):
@@ -69,9 +72,10 @@ def full_cost(circuit, h, channel):
     return _noisy_sweep(circuit, channel).cost(h)
 
 
-def full_adjoint(circuit, h, channel):
+def full_adjoint(circuit, h, channel, seen=None):
     """The full-sector adjoint loop the cone replaced: every gate rotates
-    its whole pair table, forward and backward."""
+    its whole pair table, forward and backward. seen, when given, receives
+    each gate's (sigma, E), last gate first."""
     n = 1 + max(g.step for g in circuit.gates)
     sweep = _noisy_sweep(circuit, channel, store=True)
     r, scales, pairs, sigmas = sweep
@@ -83,6 +87,8 @@ def full_adjoint(circuit, h, channel):
     for gate, idx, sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
         e, spare = _channel_on(e, spare, R_adj, scales, gate.targets)
         E = e[idx]
+        if seen is not None:
+            seen.append((sigma, E))
         term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
         grads[gate.param][gate.step] += 2.0 * gate.weight * term
         rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, E)
@@ -202,23 +208,22 @@ class TestConePlan:
         assert _cone_plan.cache_info().misses == 1
         cost_exact(build_circuit(table1, QaoaParams([0.3, 0.1], [0.4, 0.2])), table1_h, channel)
         assert _cone_plan.cache_info().misses == 2
-        arrays = [plan.cone, plan.start, plan.terms, *plan.backward, *(a for pair in plan.forward for a in pair)]
+        arrays = [plan.cone, plan.start, plan.terms, *(a for pair in plan.gates for a in pair)]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = 0
 
     @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_forward_pairs_are_backward_pairs_on_the_cone(self, table1, table1_h, n):
-        plan = _plan_of(build_circuit(table1, QaoaParams(np.ones(n), np.ones(n))), table1_h)
-        for table, back, (pairs, cols) in zip(plan.tables, plan.backward, plan.forward):
-            assert np.array_equal(plan.cone[pairs], table[:, cols])
-            assert np.isin(table[0, cols], back[0]).all()
+    def test_swept_pairs_are_the_pairs_live_both_ways(self, table1, table1_h, n):
+        # at generic angles a pair is live forward where the full sweep's
+        # sigma has a nonzero side, and backward where the full adjoint's E has
+        circuit, m = random_circuit(table1, n, np.random.default_rng(n)), table1.num_nodes
+        seen = []
+        full_adjoint(circuit, table1_h, make_channel("depolarizing", 0.0), seen)
+        plan = _plan_of(circuit, table1_h)
+        for gate, (pairs, cols), (sigma, E) in zip(circuit.gates, plan.gates, seen[::-1]):
+            assert np.array_equal(plan.cone[pairs], _pair_table(m, gate.targets, True)[:, cols])
+            live = (sigma != 0).any(axis=0) & (E != 0).any(axis=0)
+            assert np.array_equal(cols, np.flatnonzero(live))
         # at n = 1 the cone is a small part of the 8,192-coefficient sector
-        assert plan.cone.size <= (64 if n == 1 else 4 ** table1.num_nodes // 4)
-
-    def test_a_gate_whose_share_is_large_keeps_its_table(self, table1, table1_h):
-        plan = _plan_of(build_circuit(table1, QaoaParams(np.ones(4), np.ones(4))), table1_h)
-        kept = [back is table for back, table in zip(plan.backward, plan.tables)]
-        assert any(kept) and not all(kept)
-        for back, table in zip(plan.backward, plan.tables):
-            assert back is table or back.shape[1] <= _FULL_SHARE * table.shape[1]
+        assert plan.cone.size <= (64 if n == 1 else 4 ** m // 4)
