@@ -34,7 +34,8 @@ from .gradopt import (
 )
 from .maxcut import WeightedGraph, load_graph as resolve_graph, problem_hamiltonian
 from .noise import KINDS, make_channel, noise_grid
-from .qaoa import QaoaParams, _fidelities, _landscape_row, build_circuit, cost_exact
+from .qaoa import QaoaParams, _compile, _fidelities, _landscape_row, cost_exact
+from .statevector import SimulationError
 
 THREADS_ENV_VAR = "NOISYQAOA_THREADS"
 
@@ -324,7 +325,7 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     for n in config.steps:
         params = QaoaParams(rng.uniform(-math.pi, math.pi, n), rng.uniform(-math.pi, math.pi, n))
         params_echo[n] = {"gamma": params.gamma, "beta": params.beta}
-        circuit = build_circuit(graph, params)
+        circuit = _compile(graph, params)
         N = n * (E + m)
         series = []
         for p, F in zip(config.p_values, _fidelities(circuit, config.channel, config.p_values)):
@@ -378,7 +379,7 @@ def run_cost_experiment(config: ExperimentConfig) -> ResultTable:
     ci_half = half_width if config.mode == "sampled" else 0.0
     for n in config.steps:
         params = params_by_n[n]
-        circuit = build_circuit(graph, params)
+        circuit = _compile(graph, params)
         f_ideal = cost_exact(circuit, h)
         N = n * (E + m)
         series = []
@@ -493,11 +494,15 @@ def run_gradient_experiment(
 
 
 def _optimization_cell(args) -> tuple:
-    """One noisy descent for a (n, p) grid cell (process-pool worker)."""
+    """One noisy descent for a (n, p) grid cell (process-pool worker). A
+    SimulationError is raised again with the cell's n, p and mode."""
     graph, channel_kind, p, init_gamma, init_beta, lr, iters, mode, shots, seed, n_idx, p_idx = args
     init = QaoaParams(np.asarray(init_gamma), np.asarray(init_beta))
     evaluator = _noisy_evaluator(graph, channel_kind, p, mode, shots, seed, n_idx, p_idx)
-    trace = gradient_descent(graph, init, evaluator, lr, iters)
+    try:
+        trace = gradient_descent(graph, init, evaluator, lr, iters)
+    except SimulationError as exc:
+        raise SimulationError(f"optimization cell n={init.n}, p={p!r}, mode={mode}: {exc}") from exc
     return trace.final_params.gamma, trace.final_params.beta, trace.final_cost
 
 

@@ -46,14 +46,26 @@ not swept, so that each nonzero product keeps its place in the sum.
 Costs and gradients are therefore bit-equal to the full sweep's.
 run_exact_noisy, the fidelities and any other channel run the full
 sweep.
+
+The exact paths read a circuit as its layout and one array of angles
+(_Circuit). The layout (_Layout) is what does not depend on the angles:
+per gate its targets, 2 w, step and whether it reads gamma or beta, the
+slot its angle comes from in (gamma, beta), and the fused pure-state
+sweep's ops. _layout builds build_circuit's layout once per (m, sorted
+edges, n) and keeps it, read-only, so an exact descent (gradopt)
+compiles its circuit once and builds no QaoaGate records; a hand-built
+GateSequence, a cut circuit or a with_shifted_gate copy derives its
+layout on the same code, once per call. An exact noisy evaluator also
+keeps its layout's _ConeWork: the cone plan, the channel's scales on the
+cone and the adjoint's sigma stack, which gate k always writes at the
+same columns and so never needs clearing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +88,6 @@ from .statevector import (
     pauli_to_density,
     plus_state,
     rotate_pairs,
-    rotation_pairs,
     sector_position,
     zz_parities,
 )
@@ -156,35 +167,110 @@ def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequen
     return GateSequence(seq.num_qubits, tuple(gates))
 
 
-def _ideal_plan(circuit: GateSequence) -> tuple:
-    """The circuit as the ops of the fused pure-state sweep, in order, with
-    the weights, angles and steps of its gates. A run of consecutive edge
-    gates or of consecutive mixers is (param, table, rows), with table the
-    run's zz_parities or bit_flips and rows its slice of those arrays."""
-    m = circuit.num_qubits
-    ops, steps, w, theta = [], [], [], []
-    for param, run in groupby(circuit.gates, key=attrgetter("param")):
-        targets, run_steps, _, run_w, run_theta = zip(*run)  # QaoaGate fields
-        table = zz_parities(m, targets) if param == "gamma" else bit_flips(m, targets)
-        ops.append((param, table, slice(len(steps), len(steps) + len(targets))))
-        steps += run_steps
-        w += run_w
-        theta += run_theta
-    return ops, np.array(w, dtype=float), np.array(theta, dtype=float), np.array(steps, dtype=int)
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The angle-independent part of a circuit on m qubits with n steps,
+    read-only (see the module docstring): per gate, its targets, weight w,
+    2 w, step and whether it is an edge gate (angle gamma) or a mixer
+    (beta), and its slot, the index of its angle in concatenate(gamma,
+    beta) and of its derivative in concatenate(d_gamma, d_beta)."""
+
+    m: int
+    n: int
+    targets: tuple
+    w: np.ndarray
+    w2: np.ndarray
+    steps: np.ndarray
+    edge: np.ndarray
+    slots: np.ndarray
+
+    @cached_property
+    def ops(self) -> tuple:
+        """The ops of the fused pure-state sweep, in order: a run of
+        consecutive edge gates or of consecutive mixers is (edge, table,
+        rows), with table the run's zz_parities or bit_flips and rows its
+        slice of the per-gate arrays. Built on the first pure-state sweep."""
+        ops, start = [], 0
+        for edge, run in groupby(self.edge.tolist()):
+            rows = slice(start, start + len(list(run)))
+            table = zz_parities if edge else bit_flips
+            ops.append((edge, table(self.m, self.targets[rows]), rows))
+            start = rows.stop
+        return tuple(ops)
 
 
-def _ideal_sweep(circuit: GateSequence, plan: tuple, phases: list | None = None) -> np.ndarray:
-    """Amplitudes of |+>^m through the circuit; plan is _ideal_plan(circuit).
-    A run of edge gates is one multiply by exp(-i sum_g w_g theta_g z_i z_j),
-    a run of mixers is applied in place. The one forward pass of run_ideal,
+def _build_layout(m: int, records) -> _Layout:
+    """The _Layout of the gates given as (targets, step, edge, weight)."""
+    targets = tuple(tuple(t) for t, _, _, _ in records)
+    for t in targets:
+        _check_targets(m, t)
+    steps = np.array([k for _, k, _, _ in records], dtype=int)
+    edge = np.array([e for _, _, e, _ in records], dtype=bool)
+    w = np.array([w for _, _, _, w in records], dtype=float)
+    n = 1 + int(steps.max()) if steps.size else 0
+    layout = _Layout(m, n, targets, w, 2.0 * w, steps, edge, np.where(edge, steps, n + steps))
+    for a in (layout.w, layout.w2, layout.steps, layout.edge, layout.slots):
+        a.setflags(write=False)
+    return layout
+
+
+@lru_cache(maxsize=64)
+def _layout(m: int, edges: tuple, n: int) -> _Layout:
+    """The _Layout of build_circuit's circuit with n steps on the sorted
+    edges (i, j, w) of an m-node graph, built once and kept: 5 KB at n = 4
+    on table1, and 18 KB of pure-state tables, which the zz_parities and
+    bit_flips caches hold too, once a pure-state sweep has run on it."""
+    step = [((i, j), True, w) for i, j, w in edges] + [((q,), False, 1.0) for q in range(m)]
+    return _build_layout(m, [(t, k, e, w) for k in range(n) for t, e, w in step])
+
+
+class _Circuit(NamedTuple):
+    """A circuit as its layout and the angle of each gate. It reads like a
+    GateSequence (num_qubits, gates), so an evaluator's adjoint method
+    that cost_and_gradient hands one to may treat it as one."""
+
+    layout: _Layout
+    theta: np.ndarray
+
+    @property
+    def num_qubits(self) -> int:
+        return self.layout.m
+
+    @property
+    def gates(self) -> tuple:
+        lay = self.layout
+        fields = zip(lay.targets, lay.steps.tolist(), lay.edge.tolist(), lay.w.tolist(), self.theta.tolist())
+        return tuple(QaoaGate(t, k, "gamma" if e else "beta", w, a) for t, k, e, w, a in fields)
+
+
+def _compile(graph: WeightedGraph, params: QaoaParams) -> _Circuit:
+    """build_circuit(graph, params) as a _Circuit on the kept layout, with
+    no gate records: each gate's angle is read from (gamma, beta) by its slot."""
+    layout = _layout(graph.num_nodes, tuple(sorted(graph.edges)), params.n)
+    return _Circuit(layout, np.concatenate((params.gamma, params.beta))[layout.slots])
+
+
+def _as_circuit(circuit) -> _Circuit:
+    """A _Circuit as it is, or a GateSequence's layout, derived for this
+    call, and its gates' angles."""
+    if isinstance(circuit, _Circuit):
+        return circuit
+    gates = circuit.gates
+    layout = _build_layout(circuit.num_qubits, [(g.targets, g.step, g.param == "gamma", g.weight) for g in gates])
+    return _Circuit(layout, np.array([g.angle for g in gates], dtype=float))
+
+
+def _ideal_sweep(circuit: _Circuit, phases: list | None = None) -> np.ndarray:
+    """Amplitudes of |+>^m through the circuit, by its layout's ops. A run
+    of edge gates is one multiply by exp(-i sum_g w_g theta_g z_i z_j), a
+    run of mixers is applied in place. The one forward pass of run_ideal,
     the ideal cost_exact and adjoint_gradient_ideal: phases, when given,
     receives each edge run's phase vector."""
-    m = circuit.num_qubits
-    ops, w, theta, _ = plan
-    w_theta, angles = w * theta, theta.tolist()
-    psi = plus_state(m).amplitudes
-    for param, table, rows in ops:
-        if param == "gamma":
+    layout, theta = circuit
+    w_theta, angles = layout.w * theta, theta.tolist()
+    psi = plus_state(layout.m).amplitudes
+    for edge, table, rows in layout.ops:
+        if edge:
             phase = np.exp(-1j * (w_theta[rows] @ table))
             psi *= phase
             if phases is not None:
@@ -196,7 +282,8 @@ def _ideal_sweep(circuit: GateSequence, plan: tuple, phases: list | None = None)
 
 def run_ideal(circuit: GateSequence) -> StateVector:
     """|+>^m evolved through all gates in order (noiseless)."""
-    return StateVector(circuit.num_qubits, _ideal_sweep(circuit, _ideal_plan(circuit)))
+    circuit = _as_circuit(circuit)
+    return StateVector(circuit.num_qubits, _ideal_sweep(circuit))
 
 
 def _channel_on(r: np.ndarray, spare: np.ndarray, R: np.ndarray, scales: list | None, targets) -> tuple:
@@ -240,6 +327,11 @@ def _sector_scales(channel: NoiseChannel, m: int) -> list | None:
     return channel.ptm_scales(m)
 
 
+def _phis(circuit: _Circuit) -> list:
+    """Each gate's rotation angle phi = 2 w theta."""
+    return (circuit.layout.w2 * circuit.theta).tolist()
+
+
 def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = False) -> _Sweep:
     """Pauli coefficients r of the noisy output of |+>^m, with the channel
     after every gate on each qubit it touches: the 4^m / 2 of the even
@@ -248,19 +340,20 @@ def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = Fal
     adjoint_gradient_noisy under any other channel; sigmas[k], when store
     is set, holds the values of gate k's pairs after the gate and before
     its channels."""
-    m = circuit.num_qubits
+    circuit = _as_circuit(circuit)
+    m, targets = circuit.num_qubits, circuit.layout.targets
     scales = _sector_scales(channel, m)
     R = channel.ptm
-    pairs = [rotation_pairs(gate, m, scales is not None) for gate in circuit.gates]
+    pairs = [_pair_table(m, t, scales is not None) for t in targets]
     r = np.zeros((4,) * (m - 1) + (4 if scales is None else 2,))  # the sector drops qubit 0's Y/Z bit
     r[(slice(0, 2),) * m] = 1.0  # |+>^m
     r, spare = r.reshape(-1), np.empty(r.size)
     sigmas = np.empty((len(pairs), 2, r.size // 4)) if store else None
-    for k, (gate, idx) in enumerate(zip(circuit.gates, pairs)):
-        rotated = rotate_pairs(r, idx, 2.0 * gate.weight * gate.angle)
+    for k, (t, idx, phi) in enumerate(zip(targets, pairs, _phis(circuit))):
+        rotated = rotate_pairs(r, idx, phi)
         if store:
             sigmas[k] = rotated
-        r, spare = _channel_on(r, spare, R, scales, gate.targets)
+        r, spare = _channel_on(r, spare, R, scales, t)
     return _Sweep(r, scales, pairs, sigmas)
 
 
@@ -269,7 +362,9 @@ class _ConePlan(NamedTuple):
     channel, read-only (see the module docstring): the sorted sector
     positions of the cone; |+>^m on the cone; each term's Z_i Z_j position
     in the cone; and per gate, its pairs live both ways as cone positions,
-    with their columns in the gate's sector pair table."""
+    with their spots: the positions of their A and B sides in the gate's
+    sector pair table flattened to (A row, B row), [cols, K + cols] for
+    the pairs' columns cols and the table's width K = 4^m / 8."""
 
     cone: np.ndarray
     start: np.ndarray
@@ -293,12 +388,11 @@ def _live_pairs(tables, live: np.ndarray) -> list:
 
 @lru_cache(maxsize=128)
 def _cone_plan(m: int, targets: tuple, pairs: tuple) -> _ConePlan:
-    """The _ConePlan of the gates on the targets, in order, for the terms on
-    the qubit pairs (i, j). Its index arrays take three int64 per pair
-    live both ways, at n = 4 about 1.4 times the pair tables the full
-    sweep keeps: 0.8 MB on table1 and 309 MB at m = 11 (16 edges)."""
-    for t in targets:
-        _check_targets(m, t)
+    """The _ConePlan of the gates on the targets (checked by their
+    layout), in order, for the terms on the qubit pairs (i, j). Its index
+    arrays take four int64 per pair live both ways, at n = 4 about twice
+    the pair tables the full sweep keeps: 1.0 MB on table1, and about
+    410 MB at m = 11 (16 edges), where three per pair took 309 MB."""
     tables = [_pair_table(m, t, True) for t in targets]
     plus = np.zeros((4,) * (m - 1) + (2,), dtype=bool)
     plus[(slice(0, 2),) * m] = True  # |+>^m: the {I, X}^m coefficients
@@ -315,34 +409,59 @@ def _cone_plan(m: int, targets: tuple, pairs: tuple) -> _ConePlan:
     cone = np.flatnonzero(held)
     where = np.zeros(plus.size, dtype=np.intp)
     where[cone] = np.arange(cone.size)
-    gates = tuple((where.take(table), cols) for table, cols in zip(swept, columns))
+    width = 4 ** m // 8
+    gates = tuple((where.take(t), np.stack([cols, width + cols])) for t, cols in zip(swept, columns))
     plan = _ConePlan(cone, plus[cone].astype(float), where[terms], gates)
     for a in [plan.cone, plan.start, plan.terms, *(x for g in gates for x in g)]:
         a.setflags(write=False)
     return plan
 
 
-def _plan_of(circuit: GateSequence, h: ProblemHamiltonian) -> _ConePlan:
-    return _cone_plan(circuit.num_qubits, tuple(g.targets for g in circuit.gates),
-                      tuple((i, j) for i, j, _ in h.terms))
+def _plan_of(layout: _Layout, h: ProblemHamiltonian) -> _ConePlan:
+    return _cone_plan(layout.m, layout.targets, tuple((i, j) for i, j, _ in h.terms))
 
 
-def _cone_sweep(plan: _ConePlan, scales: list, gates, r: np.ndarray | None = None, first: int = 0,
-                sigmas: np.ndarray | None = None) -> np.ndarray:
-    """r, coefficients on the plan's cone (by default a copy of its start),
-    through the gates of its circuit from index first on and their
-    channels, in place: each gate rotates its pairs live both ways, and
-    scales, the channel's ptm_scales on the cone, apply the channel.
-    sigmas[k], when given, receives gate k's rotated pairs at their
-    columns. Returns r."""
+class _ConeWork:
+    """A Pauli channel on a layout's cone for the terms of h: the plan, the
+    channel's ptm_scales on the cone and, built on first use, the
+    adjoint's zeroed sigma stack, one flattened (A row, B row) of 4^m / 4
+    per gate. Gate k always writes the same spots of its
+    sigma and the others stay zero, so an evaluator that keeps the work
+    for a descent never clears the stack."""
+
+    def __init__(self, layout: _Layout, h: ProblemHamiltonian, scales: list):
+        self.plan = _plan_of(layout, h)
+        self.scales, self.width = [s[self.plan.cone] for s in scales], 4 ** layout.m // 4
+
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        return np.zeros((len(self.plan.gates), self.width))
+
+
+def _cone_work(layout: _Layout, h: ProblemHamiltonian, channel: NoiseChannel) -> _ConeWork | None:
+    """The _ConeWork under a Pauli channel, else None (the full sweep)."""
+    scales = _sector_scales(channel, layout.m)
+    return None if scales is None else _ConeWork(layout, h, scales)
+
+
+def _cone_sweep(work: _ConeWork, targets: tuple, phis: list, r: np.ndarray | None = None, first: int = 0,
+                stop: int | None = None, sigmas: np.ndarray | None = None) -> np.ndarray:
+    """r, coefficients on the work's cone (by default a copy of its start),
+    through gates first to stop (by default the last) of its circuit and
+    their channels, in place: gate k on targets[k] rotates its pairs live
+    both ways by phis[k], and the scales on the cone apply the channel.
+    sigmas[k], when given, receives gate k's rotated pairs at their spots
+    (a scatter into a flat row is several times faster than into the
+    columns of a (2, K) one). Returns r."""
+    plan, scales = work.plan, work.scales
     if r is None:
         r = plan.start.copy()
-    for k, gate in enumerate(gates, first):
-        pairs, cols = plan.gates[k]
-        rotated = rotate_pairs(r, pairs, 2.0 * gate.weight * gate.angle)
+    for k in range(first, len(phis) if stop is None else stop):
+        pairs, spots = plan.gates[k]
+        rotated = rotate_pairs(r, pairs, phis[k])
         if sigmas is not None:
-            sigmas[k][:, cols] = rotated
-        for q in gate.targets:
+            sigmas[k][spots] = rotated
+        for q in targets[k]:
             r *= scales[q]
     return r
 
@@ -370,14 +489,11 @@ def _fidelities(circuit: GateSequence, kind: str, p_values) -> list:
     sweep's coefficients and s those of the ideal output, the same sweep
     at p = 0. A named channel is a Pauli channel, so r and s are both
     even-sector arrays."""
+    circuit = _as_circuit(circuit)
     s = _noisy_sweep(circuit, make_channel(kind, 0.0)).r
     scale = 0.5 ** circuit.num_qubits
     return [scale * float(np.einsum("i,i->", _noisy_sweep(circuit, make_channel(kind, p)).r, s))
             for p in p_values]
-
-
-def _num_steps(circuit: GateSequence) -> int:
-    return 1 + max(g.step for g in circuit.gates)
 
 
 def adjoint_gradient_ideal(
@@ -392,31 +508,31 @@ def adjoint_gradient_ideal(
     (2, 2^m) array (Jones & Gacon, arXiv:2009.02823). The gates of a run
     commute, so every term of a run is read at its end, in one product
     with the run's table: 2 w Im <b|Z_i Z_j|psi> for an edge gate,
-    -2 Im <b|X_q psi> for a mixer. Returns (cost, d_gamma, d_beta).
+    -2 Im <b|X_q psi> for a mixer. The circuit is a GateSequence or a
+    _Circuit. Returns (cost, d_gamma, d_beta).
     """
-    n = _num_steps(circuit)
-    plan, phases = _ideal_plan(circuit), []
-    psi = _ideal_sweep(circuit, plan, phases)
-    ops, w, theta, steps = plan
-    w2, undo_angles = 2.0 * w, (-theta).tolist()
+    circuit, phases = _as_circuit(circuit), []
+    psi = _ideal_sweep(circuit, phases)
+    layout, theta = circuit
+    undo_angles = (-theta).tolist()
     S = np.empty((2, psi.size), dtype=complex)  # (psi, b)
     S[0] = psi
     np.multiply(h.energies, psi, out=S[1])
     cost = float(np.vdot(S[0], S[1]).real)
-    grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
-    for param, table, rows in reversed(ops):
-        if param == "gamma":
-            terms = w2[rows] * (table @ (S[1].conj() * S[0]).imag)
+    grads = np.zeros(2 * layout.n)
+    for edge, table, rows in reversed(layout.ops):
+        if edge:
+            terms = layout.w2[rows] * (table @ (S[1].conj() * S[0]).imag)
             S *= phases.pop().conj()
         else:
             terms = -2.0 * (S[0][table] @ S[1].conj()).imag
             mix(S, table, undo_angles[rows])
-        np.add.at(grads[param], steps[rows], terms)
-    return cost, grads["gamma"], grads["beta"]
+        np.add.at(grads, layout.slots[rows], terms)
+    return cost, grads[:layout.n], grads[layout.n:]
 
 
 def adjoint_gradient_noisy(
-    circuit: GateSequence, h: ProblemHamiltonian, channel: NoiseChannel
+    circuit: GateSequence, h: ProblemHamiltonian, channel: NoiseChannel, work: _ConeWork | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact-noisy cost and shift-rule gradient via forward/backward sweeps.
 
@@ -433,36 +549,44 @@ def adjoint_gradient_noisy(
     forward sweep runs on the cone, sigma_k is zero outside gate k's pairs
     live both ways, and the backward sweep also runs on the cone and
     rotates those pairs alone, which keeps e exact wherever sigma is
-    nonzero (see the module docstring). Returns (cost, d_gamma, d_beta).
+    nonzero (see the module docstring). The circuit is a GateSequence or
+    a _Circuit; work, when given, is _cone_work of its layout, h and the
+    channel, kept by the caller. Returns (cost, d_gamma, d_beta).
     """
-    n, m = _num_steps(circuit), circuit.num_qubits
-    scales = _sector_scales(channel, m)
-    if scales is None:
+    circuit = _as_circuit(circuit)
+    layout, phis = circuit.layout, _phis(circuit)
+    if work is None:
+        work = _cone_work(layout, h, channel)
+    if work is None:
         sweep = _noisy_sweep(circuit, channel, store=True)
-        cost, sigmas, e = sweep.cost(h), sweep.sigmas, np.zeros(sweep.r.size)
-        pairs, terms = [(idx, slice(None)) for idx in sweep.pairs], [k for k, _ in sweep.zz_terms(h)]
+        cost, scales, e = sweep.cost(h), None, np.zeros(sweep.r.size)
+        sigmas, spots = sweep.sigmas.reshape(len(phis), -1), np.arange(e.size // 2).reshape(2, -1)
+        pairs, terms = [(idx, spots) for idx in sweep.pairs], [k for k, _ in sweep.zz_terms(h)]
     else:
-        plan = _plan_of(circuit, h)
-        scales = [s[plan.cone] for s in scales]
-        sigmas = np.zeros((len(plan.gates), 2, 4 ** m // 8))
-        cost = _cone_cost(plan, h, _cone_sweep(plan, scales, circuit.gates, sigmas=sigmas))
-        e, pairs, terms = np.zeros(plan.cone.size), plan.gates, plan.terms
+        sigmas, scales = work.sigmas, work.scales
+        cost = _cone_cost(work.plan, h, _cone_sweep(work, layout.targets, phis, sigmas=sigmas))
+        e, pairs, terms = np.zeros(work.plan.cone.size), work.plan.gates, work.plan.terms
     R_adj = channel.ptm.T  # scales serve as their own adjoint
     spare = np.empty(e.size)
     for k, (_, _, w) in zip(terms, h.terms):
         e[k] += w
-    # E holds each gate's pairs of e at their columns; its other columns
-    # keep earlier gates' values, finite, which meet zeros in sigma
-    E = np.zeros_like(sigmas[0])
-    grads = {"gamma": np.zeros(n), "beta": np.zeros(n)}
-    for gate, (idx, cols), sigma in zip(reversed(circuit.gates), reversed(pairs), sigmas[::-1]):
-        e, spare = _channel_on(e, spare, R_adj, scales, gate.targets)
+    # E holds each gate's pairs of e at their spots; its other spots keep
+    # earlier gates' values, finite, which meet zeros in sigma
+    E = np.zeros(sigmas.shape[1])
+    width = E.size // 2
+    E_A, E_B = E[:width], E[width:]
+    grads = np.zeros(2 * layout.n)
+    w2, slots = layout.w2.tolist(), layout.slots.tolist()
+    for k in reversed(range(len(phis))):
+        idx, spot = pairs[k]
+        e, spare = _channel_on(e, spare, R_adj, scales, layout.targets[k])
         live = e.take(idx)
-        E[:, cols] = live
-        term = np.einsum("i,i->", E[1], sigma[0]) - np.einsum("i,i->", E[0], sigma[1])
-        grads[gate.param][gate.step] += 2.0 * gate.weight * term
-        rotate_pairs(e, idx, -2.0 * gate.weight * gate.angle, live)
-    return cost, grads["gamma"], grads["beta"]
+        E[spot] = live
+        sigma = sigmas[k]
+        term = np.einsum("i,i->", E_B, sigma[:width]) - np.einsum("i,i->", E_A, sigma[width:])
+        grads[slots[k]] += w2[k] * term
+        rotate_pairs(e, idx, -phis[k], live)
+    return cost, grads[:layout.n], grads[layout.n:]
 
 
 def noise_event_count(circuit: GateSequence) -> int:
@@ -603,30 +727,30 @@ def trajectory_states(
 def cost_exact(
     circuit: GateSequence, h: ProblemHamiltonian, channel: NoiseChannel | None = None
 ) -> float:
-    """<H_p> of the circuit output: ideal, or exact-noisy if given a channel."""
+    """<H_p> of the circuit output (a GateSequence or a _Circuit): ideal,
+    or exact-noisy if given a channel."""
+    circuit = _as_circuit(circuit)
     if channel is None:
         return exact_expectation(run_ideal(circuit), h)
-    scales = _sector_scales(channel, circuit.num_qubits)
-    if scales is None:
+    work = _cone_work(circuit.layout, h, channel)
+    if work is None:
         return _noisy_sweep(circuit, channel).cost(h)
-    plan = _plan_of(circuit, h)
-    return _cone_cost(plan, h, _cone_sweep(plan, [s[plan.cone] for s in scales], circuit.gates))
+    return _cone_cost(work.plan, h, _cone_sweep(work, circuit.layout.targets, _phis(circuit)))
 
 
 def _landscape_row(graph: WeightedGraph, h: ProblemHamiltonian, channel: NoiseChannel | None,
                   gamma: float, betas) -> list:
-    """cost_exact of the n=1 circuit (gamma, beta) for each beta. Under a
-    Pauli channel the cells share one cone sweep of the edge layer, and
-    each runs only its mixers; any other channel, and the ideal cost, run
-    cell by cell."""
-    circuits = [build_circuit(graph, QaoaParams([gamma], [beta])) for beta in betas]
-    scales = None if channel is None or not circuits else _sector_scales(channel, graph.num_nodes)
-    if scales is None:
+    """cost_exact of the n=1 circuit (gamma, beta) for each beta, on one
+    layout. Under a Pauli channel the cells share one cone sweep of the
+    edge layer, and each runs only its mixers; any other channel, and the
+    ideal cost, run cell by cell."""
+    circuits = [_compile(graph, QaoaParams([gamma], [beta])) for beta in betas]
+    work = None if channel is None or not circuits else _cone_work(circuits[0].layout, h, channel)
+    if work is None:
         return [cost_exact(circuit, h, channel) for circuit in circuits]
-    plan, cut = _plan_of(circuits[0], h), graph.num_edges
-    scales = [s[plan.cone] for s in scales]
-    edges = _cone_sweep(plan, scales, circuits[0].gates[:cut])
-    return [_cone_cost(plan, h, _cone_sweep(plan, scales, circuit.gates[cut:], edges.copy(), cut))
+    cut, targets = graph.num_edges, circuits[0].layout.targets
+    edges = _cone_sweep(work, targets, _phis(circuits[0]), stop=cut)
+    return [_cone_cost(work.plan, h, _cone_sweep(work, targets, _phis(circuit), edges.copy(), cut))
             for circuit in circuits]
 
 

@@ -258,13 +258,14 @@ def rotate_pairs(r: np.ndarray, pairs: np.ndarray, phi: float, values: np.ndarra
     """Rotate r's pairs at the indices rotation_pairs gives by phi, in place
     (the adjoint gate by -phi), and return their new values; values, when
     given, is r[pairs]. Gathered pairs are contiguous, where strided views
-    of low qubits have short inner axes that make arithmetic slow."""
+    of low qubits have short inner axes that make arithmetic slow. Two
+    array operations: (c A + (-s) B, c B + s A), bit-equal to
+    (c A - s B, c B + s A), since a - s b == a + (-s) b in IEEE arithmetic."""
     if values is None:
         values = r.take(pairs)
     c, s = math.cos(phi), math.sin(phi)
-    new = np.multiply(values, c)
-    new[0] -= s * values[1]
-    new[1] += s * values[0]
+    new = values * c
+    new += values[::-1] * np.array([[-s], [s]])
     r[pairs] = new
     return new
 

@@ -20,6 +20,7 @@ from noisyqaoa.experiments import landscape_argmin
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import (
     GateSequence,
+    _as_circuit,
     _channel_on,
     _cone_plan,
     _landscape_row,
@@ -204,7 +205,7 @@ class TestConePlan:
         cost_exact(circuit, table1_h, channel)
         adjoint_gradient_noisy(circuit, table1_h, channel)
         landscape_argmin(table1, channel, [0.1, 0.2], [0.3, 0.4])
-        plan = _plan_of(circuit, table1_h)
+        plan = _plan_of(_as_circuit(circuit).layout, table1_h)
         assert _cone_plan.cache_info().misses == 1
         cost_exact(build_circuit(table1, QaoaParams([0.3, 0.1], [0.4, 0.2])), table1_h, channel)
         assert _cone_plan.cache_info().misses == 2
@@ -220,8 +221,10 @@ class TestConePlan:
         circuit, m = random_circuit(table1, n, np.random.default_rng(n)), table1.num_nodes
         seen = []
         full_adjoint(circuit, table1_h, make_channel("depolarizing", 0.0), seen)
-        plan = _plan_of(circuit, table1_h)
-        for gate, (pairs, cols), (sigma, E) in zip(circuit.gates, plan.gates, seen[::-1]):
+        plan = _plan_of(_as_circuit(circuit).layout, table1_h)
+        for gate, (pairs, spots), (sigma, E) in zip(circuit.gates, plan.gates, seen[::-1]):
+            cols = spots[0]
+            assert np.array_equal(spots[1], cols + 4 ** m // 8)
             assert np.array_equal(plan.cone[pairs], _pair_table(m, gate.targets, True)[:, cols])
             live = (sigma != 0).any(axis=0) & (E != 0).any(axis=0)
             assert np.array_equal(cols, np.flatnonzero(live))

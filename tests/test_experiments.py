@@ -29,8 +29,9 @@ from noisyqaoa import (
     run_ideal,
     run_optimization_experiment,
 )
-from noisyqaoa import experiments
+from noisyqaoa import experiments, gradopt
 from noisyqaoa.experiments import THREADS_ENV_VAR, resolve_graph
+from noisyqaoa.statevector import SimulationError
 from oracles import output_fidelity
 
 
@@ -406,6 +407,18 @@ class TestOptimizationExperiment:
         cfg = ExperimentConfig(steps=(1,), p_values=(0.01, 0.01), num_iters=3, threads=1)
         table = run_optimization_experiment(cfg)
         assert [row[6] for row in table.rows] == [0.0, 1.0]
+
+    def test_failing_cell_names_n_and_p(self, monkeypatch):
+        # a noisy descent that goes non-finite raises with its cell's n, p
+        # and mode; the ideal descents run a different evaluator and finish
+        def nan_adjoint(self, circuit):
+            n = circuit.layout.n
+            return float("nan"), np.zeros(n), np.zeros(n)
+
+        monkeypatch.setattr(gradopt.ExactNoisyEvaluator, "adjoint", nan_adjoint)
+        cfg = ExperimentConfig(steps=(2,), p_values=(0.0, 0.015), num_iters=3, threads=1)
+        with pytest.raises(SimulationError, match=r"optimization cell n=2, p=0\.015, mode=exact: non-finite cost"):
+            run_optimization_experiment(cfg)
 
 
 class TestLandscapeArgmin:
