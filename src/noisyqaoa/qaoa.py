@@ -167,13 +167,15 @@ def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequen
     return GateSequence(seq.num_qubits, tuple(gates))
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
+class _Layout(NamedTuple):
     """The angle-independent part of a circuit on m qubits with n steps,
     read-only (see the module docstring): per gate, its targets, weight w,
-    2 w, step and whether it is an edge gate (angle gamma) or a mixer
-    (beta), and its slot, the index of its angle in concatenate(gamma,
-    beta) and of its derivative in concatenate(d_gamma, d_beta)."""
+    2 w, step, whether it is an edge gate (angle gamma) or a mixer (beta),
+    and its slot, the index of its angle in concatenate(gamma, beta) and
+    of its derivative in concatenate(d_gamma, d_beta); and the ops of the
+    fused pure-state sweep, in order: a run of consecutive edge gates or
+    of consecutive mixers is (edge, table, rows), with table the run's
+    zz_parities or bit_flips and rows its slice of the per-gate arrays."""
 
     m: int
     n: int
@@ -183,33 +185,24 @@ class _Layout:
     steps: np.ndarray
     edge: np.ndarray
     slots: np.ndarray
-
-    @cached_property
-    def ops(self) -> tuple:
-        """The ops of the fused pure-state sweep, in order: a run of
-        consecutive edge gates or of consecutive mixers is (edge, table,
-        rows), with table the run's zz_parities or bit_flips and rows its
-        slice of the per-gate arrays. Built on the first pure-state sweep."""
-        ops, start = [], 0
-        for edge, run in groupby(self.edge.tolist()):
-            rows = slice(start, start + len(list(run)))
-            table = zz_parities if edge else bit_flips
-            ops.append((edge, table(self.m, self.targets[rows]), rows))
-            start = rows.stop
-        return tuple(ops)
+    ops: tuple
 
 
 def _build_layout(m: int, records) -> _Layout:
     """The _Layout of the gates given as (targets, step, edge, weight)."""
     targets = tuple(tuple(t) for t, _, _, _ in records)
-    for t in targets:
-        _check_targets(m, t)
+    _check_targets(m, [q for t in targets for q in t])
     steps = np.array([k for _, k, _, _ in records], dtype=int)
     edge = np.array([e for _, _, e, _ in records], dtype=bool)
     w = np.array([w for _, _, _, w in records], dtype=float)
     n = 1 + int(steps.max()) if steps.size else 0
-    layout = _Layout(m, n, targets, w, 2.0 * w, steps, edge, np.where(edge, steps, n + steps))
-    for a in (layout.w, layout.w2, layout.steps, layout.edge, layout.slots):
+    ops, start = [], 0
+    for is_edge, run in groupby(edge.tolist()):
+        rows = slice(start, start + len(list(run)))
+        ops.append((is_edge, (zz_parities if is_edge else bit_flips)(m, targets[rows]), rows))
+        start = rows.stop
+    layout = _Layout(m, n, targets, w, 2.0 * w, steps, edge, np.where(edge, steps, n + steps), tuple(ops))
+    for a in layout[3:8]:
         a.setflags(write=False)
     return layout
 
@@ -219,7 +212,7 @@ def _layout(m: int, edges: tuple, n: int) -> _Layout:
     """The _Layout of build_circuit's circuit with n steps on the sorted
     edges (i, j, w) of an m-node graph, built once and kept: 5 KB at n = 4
     on table1, and 18 KB of pure-state tables, which the zz_parities and
-    bit_flips caches hold too, once a pure-state sweep has run on it."""
+    bit_flips caches hold too."""
     step = [((i, j), True, w) for i, j, w in edges] + [((q,), False, 1.0) for q in range(m)]
     return _build_layout(m, [(t, k, e, w) for k in range(n) for t, e, w in step])
 

@@ -12,7 +12,6 @@ tolerance.
 import math
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -228,6 +227,18 @@ def test_exact_descents_build_no_gate_records(table1, monkeypatch):
         assert len(gradient_descent(table1, init, evaluator, 0.02, 5).iterations) == 6
 
 
+def test_evaluator_rebuilds_its_work_for_a_new_layout(table1, table1_h):
+    # a plan for one step count does not serve a longer circuit, so the
+    # evaluator must notice the layout changing, whichever path built it
+    channel = make_channel("dephasing", 0.02)
+    evaluator = exact_noisy_evaluator(table1, channel)
+    for params in ([0.2], [0.1, -0.4], [0.3], [0.5, 0.2], [-0.1, 0.6, 0.2]):
+        params = QaoaParams(params, params[::-1])
+        want = gate_noisy_adjoint(build_circuit(table1, params), table1_h, channel)
+        for circuit in (_compile(table1, params), build_circuit(table1, params)):
+            assert same(evaluator.adjoint(circuit), want)
+
+
 class TestLayout:
     def test_built_once_per_structure(self, table1, table1_h):
         _layout.cache_clear()
@@ -240,14 +251,13 @@ class TestLayout:
         assert _compile(table1, QaoaParams([-0.4], [0.9])).layout is a
         assert _compile(table1, QaoaParams([0.1, 0.3], [0.2, 0.4])).layout is not a
 
-    def test_read_only(self, table1, table1_h):
+    def test_read_only(self, table1):
         layout = _compile(table1, QaoaParams([0.1, 0.3], [0.2, 0.4])).layout
-        adjoint_gradient_ideal(_Circuit(layout, np.zeros(layout.steps.size)), table1_h)  # builds the ops
         arrays = [layout.w, layout.w2, layout.steps, layout.edge, layout.slots] + [t for _, t, _ in layout.ops]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = 0
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             layout.n = 3
         assert isinstance(layout.targets, tuple) and all(isinstance(t, tuple) for t in layout.targets)
 
