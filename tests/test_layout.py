@@ -12,6 +12,7 @@ tolerance.
 import math
 import subprocess
 import sys
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -202,10 +203,10 @@ def build_circuit_descent(graph, init, make_evaluator, learning_rate, num_iters)
 @pytest.mark.parametrize("n", [1, 3])
 def test_descent_traces_are_the_build_circuit_loop(table1, n, channel):
     if channel is None:
-        make = lambda: ideal_evaluator(table1)  # noqa: E731
+        make = partial(ideal_evaluator, table1)
     else:
         ch = amplitude_damping(np.random.default_rng(5)) if channel == "damping" else make_channel(channel, 0.02)
-        make = lambda: exact_noisy_evaluator(table1, ch)  # noqa: E731
+        make = partial(exact_noisy_evaluator, table1, ch)
     init = random_init(n, np.random.default_rng(n))
     trace = gradient_descent(table1, init, make(), 0.05, 12)
     want = build_circuit_descent(table1, init, make, 0.05, 12)
@@ -240,7 +241,7 @@ def test_evaluator_rebuilds_its_work_for_a_new_layout(table1, table1_h):
 
 
 class TestLayout:
-    def test_built_once_per_structure(self, table1, table1_h):
+    def test_built_once_per_structure(self, table1):
         _layout.cache_clear()
         for n in (1, 2):
             gradient_descent(table1, random_init(n, np.random.default_rng(0)), ideal_evaluator(table1), 0.02, 4)
