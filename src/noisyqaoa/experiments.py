@@ -34,7 +34,7 @@ from .gradopt import (
 )
 from .maxcut import WeightedGraph, load_graph as resolve_graph, problem_hamiltonian
 from .noise import KINDS, make_channel, noise_grid
-from .qaoa import QaoaParams, _compile, _fidelities, _landscape_row, cost_exact
+from .qaoa import QaoaParams, _fidelities, _landscape_row, build_circuit, cost_exact
 from .statevector import SimulationError
 
 THREADS_ENV_VAR = "NOISYQAOA_THREADS"
@@ -325,7 +325,7 @@ def run_fidelity_experiment(config: ExperimentConfig) -> ResultTable:
     for n in config.steps:
         params = QaoaParams(rng.uniform(-math.pi, math.pi, n), rng.uniform(-math.pi, math.pi, n))
         params_echo[n] = {"gamma": params.gamma, "beta": params.beta}
-        circuit = _compile(graph, params)
+        circuit = build_circuit(graph, params)
         N = n * (E + m)
         series = []
         for p, F in zip(config.p_values, _fidelities(circuit, config.channel, config.p_values)):
@@ -379,7 +379,7 @@ def run_cost_experiment(config: ExperimentConfig) -> ResultTable:
     ci_half = half_width if config.mode == "sampled" else 0.0
     for n in config.steps:
         params = params_by_n[n]
-        circuit = _compile(graph, params)
+        circuit = build_circuit(graph, params)
         f_ideal = cost_exact(circuit, h)
         N = n * (E + m)
         series = []

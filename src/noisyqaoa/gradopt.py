@@ -25,8 +25,6 @@ from .noise import NoiseChannel
 from .qaoa import (
     GateSequence,
     QaoaParams,
-    _as_circuit,
-    _compile,
     _cone_work,
     adjoint_gradient_ideal,
     adjoint_gradient_noisy,
@@ -39,8 +37,6 @@ from .statevector import SimulationError
 
 # An evaluator maps a circuit to its cost; one with an adjoint(circuit)
 # method, returning (cost, d_gamma, d_beta), gives its gradient from that.
-# cost_and_gradient hands adjoint a qaoa._Circuit, a circuit as its kept
-# layout and its angles, which reads like a GateSequence.
 # Not typing.Callable: typing's cache of subscripted aliases kept every
 # imported copy of this package alive, with its module-level caches
 Evaluator = Callable[[GateSequence], float]
@@ -126,12 +122,11 @@ class ExactNoisyEvaluator:
         """(cost, d_gamma, d_beta) from one Pauli-transfer adjoint sweep.
         The cone work of the last layout (its plan, the channel's scales on
         the cone and the sigma stack) is kept, so a descent builds it once."""
-        circuit = _as_circuit(seq)
         layout, work = self._kept
-        if layout is not circuit.layout:
-            work = _cone_work(circuit.layout, self.hamiltonian, self.channel)
-            self._kept = (circuit.layout, work)
-        return adjoint_gradient_noisy(circuit, self.hamiltonian, self.channel, work)
+        if layout is not seq.layout:
+            work = _cone_work(seq.layout, self.hamiltonian, self.channel)
+            self._kept = (seq.layout, work)
+        return adjoint_gradient_noisy(seq, self.hamiltonian, self.channel, work)
 
 
 ideal_evaluator = IdealEvaluator
@@ -169,11 +164,11 @@ def cost_and_gradient(
     of O(N^2) gate cost. Any other evaluator, a sampled one or a plain
     callable, gives the cost and then 2N shifted evaluations.
     """
+    seq = build_circuit(graph, params)
     adjoint = getattr(evaluator, "adjoint", None)
     if adjoint is not None:
-        cost, dg, db = adjoint(_compile(graph, params))
+        cost, dg, db = adjoint(seq)
         return cost, Gradient(dg, db)
-    seq = build_circuit(graph, params)
     cost = evaluator(seq)
     return cost, _shifted_gradient(seq, params.n, evaluator)
 

@@ -47,18 +47,19 @@ Costs and gradients are therefore bit-equal to the full sweep's.
 run_exact_noisy, the fidelities and any other channel run the full
 sweep.
 
-The exact paths read a circuit as its layout and one array of angles
-(_Circuit). The layout (_Layout) is what does not depend on the angles:
-per gate its targets, 2 w, step and whether it reads gamma or beta, the
-slot its angle comes from in (gamma, beta), and the fused pure-state
-sweep's ops. _layout builds build_circuit's layout once per (m, sorted
-edges, n) and keeps it, read-only, so an exact descent (gradopt)
-compiles its circuit once and builds no QaoaGate records; a hand-built
-GateSequence, a cut circuit or a with_shifted_gate copy derives its
-layout on the same code, once per call. An exact noisy evaluator also
-keeps its layout's _ConeWork: the cone plan, the channel's scales on the
-cone and the adjoint's sigma stack, which gate k always writes at the
-same columns and so never needs clearing.
+A circuit (GateSequence) is its layout and one array of angles. The
+layout (_Layout) is what does not depend on the angles: per gate its
+targets, 2 w, step and whether it reads gamma or beta, the slot its angle
+comes from in (gamma, beta), and the fused pure-state sweep's ops.
+build_circuit builds its layout once per (m, sorted edges, n) and keeps
+it, read-only (_layout), and with_shifted_gate keeps the layout it is
+given, so no evaluation derives one; a circuit built from QaoaGate
+records (GateSequence.of_gates) derives its own, once. The sweeps read
+the layout, and only the trajectory sampler and the shift-rule gradient
+read the records. An exact noisy evaluator also keeps its layout's
+_ConeWork: the cone plan, the channel's scales on the cone and the
+adjoint's sigma stack, which gate k always writes at the same columns
+and so never needs clearing.
 """
 
 from __future__ import annotations
@@ -115,21 +116,38 @@ class QaoaParams:
         return int(self.gamma.size)
 
 
-@dataclass(frozen=True)
-class GateSequence:
-    """Compiled ordered list of QaoaGates; gate_count is N = n * (E + m)."""
+class GateSequence(NamedTuple):
+    """A compiled circuit: its layout, read-only and, for build_circuit's
+    circuits, kept per structure (see the module docstring), and theta, the
+    angle of each gate. gate_count is N = n * (E + m)."""
 
-    num_qubits: int
-    gates: tuple
+    layout: _Layout
+    theta: np.ndarray
 
-    def __post_init__(self):
-        for k, gate in enumerate(self.gates):
+    @classmethod
+    def of_gates(cls, m: int, gates) -> GateSequence:
+        """The circuit of QaoaGate records on m qubits, in order, on a
+        layout derived from them once."""
+        for k, gate in enumerate(gates):
             if not isinstance(gate, QaoaGate):
                 raise ValueError(f"gate {k} is a {type(gate).__name__}, not a QaoaGate")
+        layout = _build_layout(m, [(g.targets, g.step, g.param == "gamma", g.weight) for g in gates])
+        return cls(layout, np.array([g.angle for g in gates], dtype=float))
+
+    @property
+    def num_qubits(self) -> int:
+        return self.layout.m
 
     @property
     def gate_count(self) -> int:
-        return len(self.gates)
+        return len(self.layout.targets)
+
+    @property
+    def gates(self) -> tuple:
+        """The QaoaGate records, built on each read."""
+        lay = self.layout
+        fields = zip(lay.targets, lay.steps.tolist(), lay.edge.tolist(), lay.w.tolist(), self.theta.tolist())
+        return tuple(QaoaGate(t, k, "gamma" if e else "beta", w, a) for t, k, e, w, a in fields)
 
 
 class QaoaGate(NamedTuple):
@@ -142,29 +160,6 @@ class QaoaGate(NamedTuple):
     param: str
     weight: float
     angle: float
-
-
-def build_circuit(graph: WeightedGraph, params: QaoaParams) -> GateSequence:
-    """Compile the alternating edge/mixer gate list for the given graph.
-
-    Checks nothing per gate: a WeightedGraph holds its edges as
-    0 <= i < j < m, and QaoaParams only finite angles, for which every
-    edge gate and mixer is unitary."""
-    m = graph.num_nodes
-    edges = sorted(graph.edges)
-    gates = []
-    for k, (gamma, beta) in enumerate(zip(params.gamma.tolist(), params.beta.tolist())):
-        gates += [QaoaGate((i, j), k, "gamma", w, gamma) for i, j, w in edges]
-        gates += [QaoaGate((q,), k, "beta", 1.0, beta) for q in range(m)]
-    return GateSequence(m, tuple(gates))
-
-
-def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequence:
-    """Copy of the sequence with only gate `index`'s angle shifted by delta."""
-    g = seq.gates[index]
-    gates = list(seq.gates)
-    gates[index] = g._replace(angle=g.angle + delta)
-    return GateSequence(seq.num_qubits, tuple(gates))
 
 
 class _Layout(NamedTuple):
@@ -217,43 +212,27 @@ def _layout(m: int, edges: tuple, n: int) -> _Layout:
     return _build_layout(m, [(t, k, e, w) for k in range(n) for t, e, w in step])
 
 
-class _Circuit(NamedTuple):
-    """A circuit as its layout and the angle of each gate. It reads like a
-    GateSequence (num_qubits, gates), so an evaluator's adjoint method
-    that cost_and_gradient hands one to may treat it as one."""
+def build_circuit(graph: WeightedGraph, params: QaoaParams) -> GateSequence:
+    """Compile the alternating edge/mixer circuit for the given graph: the
+    kept layout of its structure, with each gate's angle read from
+    (gamma, beta) by its slot.
 
-    layout: _Layout
-    theta: np.ndarray
-
-    @property
-    def num_qubits(self) -> int:
-        return self.layout.m
-
-    @property
-    def gates(self) -> tuple:
-        lay = self.layout
-        fields = zip(lay.targets, lay.steps.tolist(), lay.edge.tolist(), lay.w.tolist(), self.theta.tolist())
-        return tuple(QaoaGate(t, k, "gamma" if e else "beta", w, a) for t, k, e, w, a in fields)
-
-
-def _compile(graph: WeightedGraph, params: QaoaParams) -> _Circuit:
-    """build_circuit(graph, params) as a _Circuit on the kept layout, with
-    no gate records: each gate's angle is read from (gamma, beta) by its slot."""
+    Checks nothing per gate: a WeightedGraph holds its edges as
+    0 <= i < j < m, and QaoaParams only finite angles, for which every
+    edge gate and mixer is unitary."""
     layout = _layout(graph.num_nodes, tuple(sorted(graph.edges)), params.n)
-    return _Circuit(layout, np.concatenate((params.gamma, params.beta))[layout.slots])
+    return GateSequence(layout, np.concatenate((params.gamma, params.beta))[layout.slots])
 
 
-def _as_circuit(circuit) -> _Circuit:
-    """A _Circuit as it is, or a GateSequence's layout, derived for this
-    call, and its gates' angles."""
-    if isinstance(circuit, _Circuit):
-        return circuit
-    gates = circuit.gates
-    layout = _build_layout(circuit.num_qubits, [(g.targets, g.step, g.param == "gamma", g.weight) for g in gates])
-    return _Circuit(layout, np.array([g.angle for g in gates], dtype=float))
+def with_shifted_gate(seq: GateSequence, index: int, delta: float) -> GateSequence:
+    """Copy of the circuit, on the same layout, with only gate `index`'s
+    angle shifted by delta."""
+    theta = seq.theta.copy()
+    theta[index] += delta
+    return GateSequence(seq.layout, theta)
 
 
-def _ideal_sweep(circuit: _Circuit, phases: list | None = None) -> np.ndarray:
+def _ideal_sweep(circuit: GateSequence, phases: list | None = None) -> np.ndarray:
     """Amplitudes of |+>^m through the circuit, by its layout's ops. A run
     of edge gates is one multiply by exp(-i sum_g w_g theta_g z_i z_j), a
     run of mixers is applied in place. The one forward pass of run_ideal,
@@ -275,7 +254,6 @@ def _ideal_sweep(circuit: _Circuit, phases: list | None = None) -> np.ndarray:
 
 def run_ideal(circuit: GateSequence) -> StateVector:
     """|+>^m evolved through all gates in order (noiseless)."""
-    circuit = _as_circuit(circuit)
     return StateVector(circuit.num_qubits, _ideal_sweep(circuit))
 
 
@@ -320,7 +298,7 @@ def _sector_scales(channel: NoiseChannel, m: int) -> list | None:
     return channel.ptm_scales(m)
 
 
-def _phis(circuit: _Circuit) -> list:
+def _phis(circuit: GateSequence) -> list:
     """Each gate's rotation angle phi = 2 w theta."""
     return (circuit.layout.w2 * circuit.theta).tolist()
 
@@ -333,7 +311,6 @@ def _noisy_sweep(circuit: GateSequence, channel: NoiseChannel, store: bool = Fal
     adjoint_gradient_noisy under any other channel; sigmas[k], when store
     is set, holds the values of gate k's pairs after the gate and before
     its channels."""
-    circuit = _as_circuit(circuit)
     m, targets = circuit.num_qubits, circuit.layout.targets
     scales = _sector_scales(channel, m)
     R = channel.ptm
@@ -482,7 +459,6 @@ def _fidelities(circuit: GateSequence, kind: str, p_values) -> list:
     sweep's coefficients and s those of the ideal output, the same sweep
     at p = 0. A named channel is a Pauli channel, so r and s are both
     even-sector arrays."""
-    circuit = _as_circuit(circuit)
     s = _noisy_sweep(circuit, make_channel(kind, 0.0)).r
     scale = 0.5 ** circuit.num_qubits
     return [scale * float(np.einsum("i,i->", _noisy_sweep(circuit, make_channel(kind, p)).r, s))
@@ -501,10 +477,9 @@ def adjoint_gradient_ideal(
     (2, 2^m) array (Jones & Gacon, arXiv:2009.02823). The gates of a run
     commute, so every term of a run is read at its end, in one product
     with the run's table: 2 w Im <b|Z_i Z_j|psi> for an edge gate,
-    -2 Im <b|X_q psi> for a mixer. The circuit is a GateSequence or a
-    _Circuit. Returns (cost, d_gamma, d_beta).
+    -2 Im <b|X_q psi> for a mixer. Returns (cost, d_gamma, d_beta).
     """
-    circuit, phases = _as_circuit(circuit), []
+    phases = []
     psi = _ideal_sweep(circuit, phases)
     layout, theta = circuit
     undo_angles = (-theta).tolist()
@@ -542,11 +517,10 @@ def adjoint_gradient_noisy(
     forward sweep runs on the cone, sigma_k is zero outside gate k's pairs
     live both ways, and the backward sweep also runs on the cone and
     rotates those pairs alone, which keeps e exact wherever sigma is
-    nonzero (see the module docstring). The circuit is a GateSequence or
-    a _Circuit; work, when given, is _cone_work of its layout, h and the
-    channel, kept by the caller. Returns (cost, d_gamma, d_beta).
+    nonzero (see the module docstring). work, when given, is _cone_work
+    of the circuit's layout, h and the channel, kept by the caller.
+    Returns (cost, d_gamma, d_beta).
     """
-    circuit = _as_circuit(circuit)
     layout, phis = circuit.layout, _phis(circuit)
     if work is None:
         work = _cone_work(layout, h, channel)
@@ -584,7 +558,7 @@ def adjoint_gradient_noisy(
 
 def noise_event_count(circuit: GateSequence) -> int:
     """Number of uniforms one trajectory consumes (sum of gate arities)."""
-    return sum(len(g.targets) for g in circuit.gates)
+    return sum(len(t) for t in circuit.layout.targets)
 
 
 def _select_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -637,15 +611,15 @@ def _fault_events(weights: np.ndarray, faults: list, uniforms: np.ndarray) -> li
     return list(zip(np.split(rows[keep], cuts), np.split(branches[keep], cuts)))
 
 
-def _trajectory_tree(circuit: GateSequence, channel: NoiseChannel, uniforms: np.ndarray) -> tuple:
+def _trajectory_tree(m: int, gates: tuple, channel: NoiseChannel, uniforms: np.ndarray) -> tuple:
     """(states, index), with trajectory t ending in states[index[t]] (see
-    trajectory_states)."""
-    m, T = circuit.num_qubits, len(uniforms)
+    trajectory_states), for the circuit of the QaoaGate records on m qubits."""
+    T = len(uniforms)
     mixture = channel.unitary_mixture
     if mixture is None:
         states = np.full((T, 1 << m), 2.0 ** (-m / 2.0), dtype=complex)
         columns = iter(uniforms.T)
-        for gate in circuit.gates:
+        for gate in gates:
             gate_on(states, gate, m)
             for q, r in zip(gate.targets, columns):
                 states = _sample_kraus_batch(states, channel, q, r, m)
@@ -658,7 +632,7 @@ def _trajectory_tree(circuit: GateSequence, channel: NoiseChannel, uniforms: np.
     states = np.empty((1 + min(sum(rows.size for rows, _ in events), 2 * T), 1 << m), dtype=complex)
     states[0] = 2.0 ** (-m / 2.0)
     index, size, events = np.zeros(T, dtype=np.intp), 1, iter(events)
-    for gate in circuit.gates:
+    for gate in gates:
         gate_on(states[:size], gate, m)
         for q, (moving, picks) in zip(gate.targets, events):
             for l in faults if moving.size else ():
@@ -713,16 +687,14 @@ def trajectory_states(
         uniforms = np.random.default_rng(seed).random((num_traj, events))
     elif uniforms.shape != (num_traj, events):
         raise ValueError(f"uniform matrix has shape {uniforms.shape}, expected ({num_traj}, {events})")
-    states, index = _trajectory_tree(circuit, channel, uniforms)
+    states, index = _trajectory_tree(circuit.num_qubits, circuit.gates, channel, uniforms)
     return states[index]
 
 
 def cost_exact(
     circuit: GateSequence, h: ProblemHamiltonian, channel: NoiseChannel | None = None
 ) -> float:
-    """<H_p> of the circuit output (a GateSequence or a _Circuit): ideal,
-    or exact-noisy if given a channel."""
-    circuit = _as_circuit(circuit)
+    """<H_p> of the circuit output: ideal, or exact-noisy if given a channel."""
     if channel is None:
         return exact_expectation(run_ideal(circuit), h)
     work = _cone_work(circuit.layout, h, channel)
@@ -737,7 +709,7 @@ def _landscape_row(graph: WeightedGraph, h: ProblemHamiltonian, channel: NoiseCh
     layout. Under a Pauli channel the cells share one cone sweep of the
     edge layer, and each runs only its mixers; any other channel, and the
     ideal cost, run cell by cell."""
-    circuits = [_compile(graph, QaoaParams([gamma], [beta])) for beta in betas]
+    circuits = [build_circuit(graph, QaoaParams([gamma], [beta])) for beta in betas]
     work = None if channel is None or not circuits else _cone_work(circuits[0].layout, h, channel)
     if work is None:
         return [cost_exact(circuit, h, channel) for circuit in circuits]
@@ -764,12 +736,12 @@ def cost_sampled(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    m = circuit.num_qubits
+    m, gates = circuit.num_qubits, circuit.gates
     events = noise_event_count(circuit)
     estimate = 0.0
     per_edge = []
     for i, j, w in h.terms:
-        states, index = _trajectory_tree(circuit, channel, rng.random((shots, events)))
+        states, index = _trajectory_tree(m, gates, channel, rng.random((shots, events)))
         pr = np.abs(states) ** 2
         t = np.moveaxis(pr.reshape((-1,) + (2,) * m), (m - i, m - j), (1, 2))
         probs4 = t.reshape(len(states), 4, -1).sum(axis=2)

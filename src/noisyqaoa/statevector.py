@@ -21,7 +21,7 @@ sector, 4^m / 2 coefficients in ascending flat order: flat index f sits
 at sector_position(f) = 2 (f >> 2) + (f & 1), and even_sector(m) maps
 back.
 
-The index table of the coefficient pairs a gate rotates (rotation_pairs)
+The index table of the coefficient pairs a gate rotates (_pair_table)
 is built once per (m, targets, layout) and kept, read-only: 32 KB per
 gate at m = 7 and about 34 MB per gate at m = 12, for the even sector.
 """
@@ -213,11 +213,22 @@ def apply_ptm(r: np.ndarray, R: np.ndarray, qubit: int, out: np.ndarray) -> np.n
 
 @lru_cache(maxsize=128)
 def _pair_table(m: int, targets: tuple, sector: bool) -> np.ndarray:
-    """The (2, K) pair indices of rotation_pairs for a gate on the targets
-    (read-only): the K slices of A sides and of B sides, offsets from the
-    flat indices whose digits at the targets are 0. For the even sector,
-    offsets and bases of equal Y/Z parity are paired and given as sector
-    positions, even parity first."""
+    """The (2, K) indices of the coefficient pairs (A, B) that a QAOA gate
+    on the targets rotates, as A -> cos(phi) A - sin(phi) B,
+    B -> sin(phi) A + cos(phi) B with phi = 2 * weight * angle: (Z_q, Y_q)
+    for the mixer exp(+i beta X_q), and for the edge gate
+    exp(-i gamma w Z_i Z_j) the four slices (X_a P_b, Y_a Q_b) with
+    {a, b} = {i, j}, P_b in (I, Z) and Q_b the other one. They are the
+    K = 4^(m-1) flat indices, or with sector set the 4^m / 8 sector
+    positions of the even-sector pairs (the gates keep the Y/Z parity):
+    the K slices of A sides and of B sides, offsets from the flat indices
+    whose digits at the targets are 0; in the sector, offsets and bases of
+    equal Y/Z parity are paired and given as sector positions, even parity
+    first. The table depends on m, the targets and the layout only, so it
+    is built once and kept, read-only, for every later gate on the same
+    qubits: 2K int64, 32 KB at m = 7 and about 34 MB at m = 12 in the
+    sector, twice that in the full layout, for at most 128 tables. The
+    targets are not checked here: a circuit's layout checks them."""
     lo, hi = min(targets), max(targets)
     L, H = 4 ** lo, 4 ** hi
     base = (np.arange(4 ** (m - 1 - hi))[:, None, None] * (4 * H)
@@ -237,25 +248,8 @@ def _pair_table(m: int, targets: tuple, sector: bool) -> np.ndarray:
     return pairs
 
 
-def rotation_pairs(gate: QaoaGate, m: int, sector: bool = False) -> np.ndarray:
-    """The (2, K) indices of the coefficient pairs (A, B) that a QAOA gate
-    rotates, as A -> cos(phi) A - sin(phi) B, B -> sin(phi) A + cos(phi) B
-    with phi = 2 * weight * angle: (Z_q, Y_q) for the mixer
-    exp(+i beta X_q), and for the edge gate exp(-i gamma w Z_i Z_j) the
-    four slices (X_a P_b, Y_a Q_b) with {a, b} = {i, j}, P_b in (I, Z) and
-    Q_b the other one. They are the K = 4^(m-1) flat indices, or with
-    sector set the 4^m / 8 sector positions of the even-sector pairs (the
-    gates keep the Y/Z parity). The table depends on m, the targets and
-    the layout only, so it is built once and kept, read-only, for every
-    later gate on the same qubits: 2K int64, 32 KB at m = 7 and about
-    34 MB at m = 12 in the sector, twice that in the full layout, for at
-    most 128 tables."""
-    _check_targets(m, gate.targets)
-    return _pair_table(m, tuple(gate.targets), sector)
-
-
 def rotate_pairs(r: np.ndarray, pairs: np.ndarray, phi: float, values: np.ndarray | None = None):
-    """Rotate r's pairs at the indices rotation_pairs gives by phi, in place
+    """Rotate r's pairs at the indices _pair_table gives by phi, in place
     (the adjoint gate by -phi), and return their new values; values, when
     given, is r[pairs]. Gathered pairs are contiguous, where strided views
     of low qubits have short inner axes that make arithmetic slow. Two

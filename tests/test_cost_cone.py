@@ -20,7 +20,6 @@ from noisyqaoa.experiments import landscape_argmin
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import (
     GateSequence,
-    _as_circuit,
     _channel_on,
     _cone_plan,
     _landscape_row,
@@ -64,8 +63,8 @@ def variants(circuit, rng):
     return {
         "whole": circuit,
         "shifted": with_shifted_gate(circuit, int(rng.integers(len(gates))), rng.uniform(-1.0, 1.0)),
-        "cut": GateSequence(m, gates[:int(rng.integers(1, len(gates) + 1))]),
-        "ends-in-edge": GateSequence(m, gates[:last_edge + 1]),
+        "cut": GateSequence.of_gates(m, gates[:int(rng.integers(1, len(gates) + 1))]),
+        "ends-in-edge": GateSequence.of_gates(m, gates[:last_edge + 1]),
     }
 
 
@@ -205,7 +204,7 @@ class TestConePlan:
         cost_exact(circuit, table1_h, channel)
         adjoint_gradient_noisy(circuit, table1_h, channel)
         landscape_argmin(table1, channel, [0.1, 0.2], [0.3, 0.4])
-        plan = _plan_of(_as_circuit(circuit).layout, table1_h)
+        plan = _plan_of(circuit.layout, table1_h)
         assert _cone_plan.cache_info().misses == 1
         cost_exact(build_circuit(table1, QaoaParams([0.3, 0.1], [0.4, 0.2])), table1_h, channel)
         assert _cone_plan.cache_info().misses == 2
@@ -221,7 +220,7 @@ class TestConePlan:
         circuit, m = random_circuit(table1, n, np.random.default_rng(n)), table1.num_nodes
         seen = []
         full_adjoint(circuit, table1_h, make_channel("depolarizing", 0.0), seen)
-        plan = _plan_of(_as_circuit(circuit).layout, table1_h)
+        plan = _plan_of(circuit.layout, table1_h)
         for gate, (pairs, spots), (sigma, E) in zip(circuit.gates, plan.gates, seen[::-1]):
             cols = spots[0]
             assert np.array_equal(spots[1], cols + 4 ** m // 8)

@@ -23,7 +23,7 @@ from noisyqaoa import (
 )
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import _noisy_sweep, adjoint_gradient_noisy
-from noisyqaoa.statevector import MAX_DENSE_QUBITS, _pair_table, even_sector, rotation_pairs, sector_position
+from noisyqaoa.statevector import MAX_DENSE_QUBITS, _pair_table, even_sector, sector_position
 from oracles import I2, X, Z, hamiltonian, lift
 from test_ideal_oracle import TOL, generator, graphs
 
@@ -156,15 +156,12 @@ class TestIndexMap:
     def test_sector_pairs_are_the_even_full_pairs(self, m, data):
         # the full pairs (flat indices) whose A side is even, as sector
         # positions, are the sector pairs, in some order
-        targets = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, 2), unique=True))
-        param = "gamma" if len(targets) == 2 else "beta"
-        gate = build_circuit(WeightedGraph(m, ()), QaoaParams([0.3], [0.4])).gates[0]._replace(
-            param=param, targets=tuple(targets))
-        full = rotation_pairs(gate, m)
+        targets = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, 2), unique=True)))
+        full = _pair_table(m, targets, False)
         even = full[:, odd_parity(m)[full[0]] == 0]
         assert np.array_equal(odd_parity(m)[full[0]], odd_parity(m)[full[1]])  # the gates keep the parity
         expected = np.searchsorted(even_sector(m), even)
-        got = rotation_pairs(gate, m, sector=True)
+        got = _pair_table(m, targets, True)
         assert got.shape == expected.shape == (2, 4 ** m // 8)
         assert sorted(map(tuple, got.T)) == sorted(map(tuple, expected.T))
 
@@ -172,12 +169,11 @@ class TestIndexMap:
 class TestPairTables:
     def test_gates_on_the_same_qubits_share_one_read_only_table(self):
         gates = build_circuit(WeightedGraph(3, ((0, 2, 1.0),)), QaoaParams([0.3, -0.2], [0.4, 0.1])).gates
-        edge = gates[0]
-        other = edge._replace(step=1, weight=-0.7, angle=1.1)
-        for kind_gates in ((edge, other), (gates[1], gates[5])):  # two edge gates, two mixers on qubit 0
+        for kind_gates in ((gates[0], gates[4]), (gates[1], gates[5])):  # two edge gates, two mixers on qubit 0
+            assert kind_gates[0].targets == kind_gates[1].targets and kind_gates[0].step != kind_gates[1].step
             for sector in (False, True):
-                table = rotation_pairs(kind_gates[0], 3, sector)
-                assert rotation_pairs(kind_gates[1], 3, sector) is table
+                table = _pair_table(3, kind_gates[0].targets, sector)
+                assert _pair_table(3, kind_gates[1].targets, sector) is table
                 with pytest.raises(ValueError, match="read-only"):
                     table[0, 0] = 0
 
@@ -210,8 +206,7 @@ class TestEdgeCases:
         assert_matches(graph, 2, amplitude_damping(np.random.default_rng(5)), 5, sector=False)
 
     def test_empty_pairs(self):
-        gate = build_circuit(WeightedGraph(1, ()), QaoaParams([0.3], [0.4])).gates[0]
-        assert rotation_pairs(gate, 1, sector=True).shape == (2, 0)
+        assert _pair_table(1, (0,), True).shape == (2, 0)
 
     def test_too_many_qubits_raise_before_any_scales(self):
         # the qubit limit comes before the channel's 4^m / 2 scale vectors,

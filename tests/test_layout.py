@@ -1,12 +1,12 @@
-"""The compiled circuit layout against the per-call circuit path.
+"""The compiled circuit layout against per-gate sweeps.
 
-An exact descent compiles its circuit once per (m, sorted edges, n) into
-a read-only qaoa._Layout and reads each iteration's angles from (gamma,
-beta) by the layout's slots; a GateSequence derives its layout per call.
-Both must give the same bits as the per-gate sweeps below, which read the
-QaoaGate records themselves, gate by gate, as the package did before the
-layout existed. Everything is compared with == or tobytes, never at a
-tolerance.
+build_circuit compiles its circuit once per (m, sorted edges, n) into a
+read-only qaoa._Layout and reads each call's angles from (gamma, beta) by
+the layout's slots; with_shifted_gate keeps the layout, and
+GateSequence.of_gates derives one from QaoaGate records. Every exact path
+must give the same bits as the per-gate sweeps below, which read the
+records themselves, gate by gate, as the package did before the layout
+existed. Everything is compared with == or tobytes, never at a tolerance.
 """
 
 import math
@@ -32,18 +32,19 @@ from noisyqaoa import (
     problem_hamiltonian,
     random_init,
 )
-from noisyqaoa import gradopt, qaoa
+from noisyqaoa import qaoa
 from noisyqaoa.gradopt import Gradient
 from noisyqaoa.qaoa import (
+    GateSequence,
+    QaoaGate,
     _channel_on,
-    _Circuit,
-    _compile,
     _layout,
     adjoint_gradient_ideal,
     adjoint_gradient_noisy,
+    run_ideal,
     with_shifted_gate,
 )
-from noisyqaoa.statevector import bit_flips, mix, plus_state, rotate_pairs, rotation_pairs, sector_position, zz_parities
+from noisyqaoa.statevector import _pair_table, bit_flips, mix, plus_state, rotate_pairs, sector_position, zz_parities
 from test_cost_cone import KINDS, channel_at, variants
 from test_even_sector import amplitude_damping
 from test_ideal_oracle import graphs
@@ -56,7 +57,7 @@ def gate_sweep(circuit, channel):
     (r, scales, pairs, sigmas), as the package's _noisy_sweep with store."""
     m = circuit.num_qubits
     scales = channel.ptm_scales(m)
-    pairs = [rotation_pairs(gate, m, scales is not None) for gate in circuit.gates]
+    pairs = [_pair_table(m, gate.targets, scales is not None) for gate in circuit.gates]
     r = np.zeros((4,) * (m - 1) + (4 if scales is None else 2,))
     r[(slice(0, 2),) * m] = 1.0
     r, spare = r.reshape(-1), np.empty(r.size)
@@ -126,35 +127,22 @@ def same(a, b):
     return a[0] == b[0] and all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a[1:], b[1:]))
 
 
-def compiled_variants(graph, params, rng):
-    """(name, compiled circuit or None, GateSequence): the whole circuit and
-    a copy with one shifted gate on the kept layout, and the variants that
-    only a GateSequence holds (a cut circuit, one ending in an edge gate)."""
-    circuit, compiled = build_circuit(graph, params), _compile(graph, params)
-    k = int(rng.integers(circuit.gate_count))
-    shifted = with_shifted_gate(circuit, k, rng.uniform(-1.0, 1.0))
-    theta = compiled.theta.copy()
-    theta[k] = shifted.gates[k].angle
-    cuts = variants(circuit, rng)
-    return [("whole", compiled, circuit), ("shifted", _Circuit(compiled.layout, theta), shifted),
-            ("cut", None, cuts["cut"]), ("ends-in-edge", None, cuts["ends-in-edge"])]
-
-
 def assert_layout_paths(graph, n, channel, rng):
+    """The whole circuit, a shifted copy on its kept layout, and a cut and
+    an edge-ending copy built from its records, against the gate sweeps."""
     h = problem_hamiltonian(graph)
     params = QaoaParams(rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n))
     evaluator = exact_noisy_evaluator(graph, channel)
-    for name, compiled, seq in compiled_variants(graph, params, rng):
-        noisy, ideal = gate_noisy_adjoint(seq, h, channel), gate_ideal_adjoint(seq, h)
-        for circuit in [seq] if compiled is None else [seq, compiled]:
-            assert same(adjoint_gradient_noisy(circuit, h, channel), noisy), name
-            assert same(adjoint_gradient_ideal(circuit, h), ideal[:3]), name
-            assert cost_exact(circuit, h, channel) == noisy[0], name
-            assert cost_exact(circuit, h) == ideal[3], name
-            # the evaluator keeps the last layout's work: twice, so the
-            # second call reuses the sigma stack without clearing it
-            for _ in range(2):
-                assert same(evaluator.adjoint(circuit), noisy), name
+    for name, circuit in variants(build_circuit(graph, params), rng).items():
+        noisy, ideal = gate_noisy_adjoint(circuit, h, channel), gate_ideal_adjoint(circuit, h)
+        assert same(adjoint_gradient_noisy(circuit, h, channel), noisy), name
+        assert same(adjoint_gradient_ideal(circuit, h), ideal[:3]), name
+        assert cost_exact(circuit, h, channel) == noisy[0], name
+        assert cost_exact(circuit, h) == ideal[3], name
+        # the evaluator keeps the last layout's work: twice, so the
+        # second call reuses the sigma stack without clearing it
+        for _ in range(2):
+            assert same(evaluator.adjoint(circuit), noisy), name
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -176,25 +164,30 @@ def test_layout_path_is_the_gate_path(graph, n, kind, p, seed):
 def test_other_channels_take_the_layout_path_too(table1, table1_h):
     rng = np.random.default_rng(9)
     channel = amplitude_damping(rng)
-    for name, compiled, seq in compiled_variants(table1, QaoaParams([0.3, -0.2], [0.5, 0.1]), rng):
-        want = gate_noisy_adjoint(seq, table1_h, channel)
-        for circuit in [seq] if compiled is None else [seq, compiled]:
-            assert same(adjoint_gradient_noisy(circuit, table1_h, channel), want), name
-            assert cost_exact(circuit, table1_h, channel) == want[0], name
+    for name, circuit in variants(build_circuit(table1, QaoaParams([0.3, -0.2], [0.5, 0.1])), rng).items():
+        want = gate_noisy_adjoint(circuit, table1_h, channel)
+        assert same(adjoint_gradient_noisy(circuit, table1_h, channel), want), name
+        assert cost_exact(circuit, table1_h, channel) == want[0], name
+
+
+def fresh_circuit(graph, params):
+    """build_circuit's circuit on a layout derived from its records, not
+    the kept one."""
+    return GateSequence.of_gates(graph.num_nodes, build_circuit(graph, params).gates)
 
 
 def build_circuit_descent(graph, init, make_evaluator, learning_rate, num_iters):
-    """gradient_descent's records, from a loop that builds the circuit and
-    a fresh evaluator every iteration."""
+    """gradient_descent's records, from a loop that builds a fresh circuit
+    and a fresh evaluator every iteration."""
     params, records = init, []
     for _ in range(num_iters):
-        cost, d_gamma, d_beta = make_evaluator().adjoint(build_circuit(graph, params))
+        cost, d_gamma, d_beta = make_evaluator().adjoint(fresh_circuit(graph, params))
         records.append((params, cost, Gradient(d_gamma, d_beta).norm()))
         if records[-1][2] < 1e-6:
             break
         params = QaoaParams(params.gamma - learning_rate * d_gamma, params.beta - learning_rate * d_beta)
     if records[-1][0] is not params:
-        cost, d_gamma, d_beta = make_evaluator().adjoint(build_circuit(graph, params))
+        cost, d_gamma, d_beta = make_evaluator().adjoint(fresh_circuit(graph, params))
         records.append((params, cost, Gradient(d_gamma, d_beta).norm()))
     return records
 
@@ -221,8 +214,7 @@ def test_exact_descents_build_no_gate_records(table1, monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact descent built QaoaGate records")
 
-    monkeypatch.setattr(gradopt, "build_circuit", refuse)
-    monkeypatch.setattr(_Circuit, "gates", property(refuse))
+    monkeypatch.setattr(GateSequence, "gates", property(refuse))
     init = QaoaParams([0.1, 0.2], [0.3, 0.1])
     for evaluator in (ideal_evaluator(table1), exact_noisy_evaluator(table1, make_channel("bitflip", 0.01))):
         assert len(gradient_descent(table1, init, evaluator, 0.02, 5).iterations) == 6
@@ -236,8 +228,30 @@ def test_evaluator_rebuilds_its_work_for_a_new_layout(table1, table1_h):
     for params in ([0.2], [0.1, -0.4], [0.3], [0.5, 0.2], [-0.1, 0.6, 0.2]):
         params = QaoaParams(params, params[::-1])
         want = gate_noisy_adjoint(build_circuit(table1, params), table1_h, channel)
-        for circuit in (_compile(table1, params), build_circuit(table1, params)):
+        for circuit in (build_circuit(table1, params), fresh_circuit(table1, params)):
             assert same(evaluator.adjoint(circuit), want)
+
+
+def test_evaluations_derive_no_layout(table1, table1_h, monkeypatch):
+    # build_circuit's circuits and their shifted copies carry the kept
+    # layout, so no evaluation derives one
+    channels = [None, make_channel("depolarizing", 0.01), amplitude_damping(np.random.default_rng(4))]
+    circuits = []
+    for params in (QaoaParams([0.2], [0.4]), QaoaParams([0.1, -0.3], [0.5, 0.2])):
+        circuit = build_circuit(table1, params)
+        circuits += [circuit, with_shifted_gate(circuit, 3, 0.25)]
+
+    def refuse(*args):
+        raise AssertionError("an evaluation derived a layout")
+
+    monkeypatch.setattr(qaoa, "_build_layout", refuse)
+    for circuit in circuits:
+        run_ideal(circuit)
+        adjoint_gradient_ideal(circuit, table1_h)
+        for channel in channels:
+            cost_exact(circuit, table1_h, channel)
+            if channel is not None:
+                adjoint_gradient_noisy(circuit, table1_h, channel)
 
 
 class TestLayout:
@@ -248,12 +262,12 @@ class TestLayout:
             gradient_descent(table1, random_init(n, np.random.default_rng(1)),
                              exact_noisy_evaluator(table1, make_channel("depolarizing", 0.01)), 0.02, 4)
         assert _layout.cache_info().misses == 2
-        a = _compile(table1, QaoaParams([0.1], [0.2])).layout
-        assert _compile(table1, QaoaParams([-0.4], [0.9])).layout is a
-        assert _compile(table1, QaoaParams([0.1, 0.3], [0.2, 0.4])).layout is not a
+        a = build_circuit(table1, QaoaParams([0.1], [0.2])).layout
+        assert build_circuit(table1, QaoaParams([-0.4], [0.9])).layout is a
+        assert build_circuit(table1, QaoaParams([0.1, 0.3], [0.2, 0.4])).layout is not a
 
     def test_read_only(self, table1):
-        layout = _compile(table1, QaoaParams([0.1, 0.3], [0.2, 0.4])).layout
+        layout = build_circuit(table1, QaoaParams([0.1, 0.3], [0.2, 0.4])).layout
         arrays = [layout.w, layout.w2, layout.steps, layout.edge, layout.slots] + [t for _, t, _ in layout.ops]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -263,11 +277,18 @@ class TestLayout:
         assert isinstance(layout.targets, tuple) and all(isinstance(t, tuple) for t in layout.targets)
 
     def test_is_build_circuit_structure(self, table1):
+        # the records of the alternating edge/mixer list, built one by one
         params = QaoaParams([0.1, -0.3], [0.2, 0.7])
-        compiled, seq = _compile(table1, params), build_circuit(table1, params)
-        assert compiled.gates == seq.gates
-        assert compiled.num_qubits == seq.num_qubits
-        assert compiled.theta.tobytes() == np.array([g.angle for g in seq.gates]).tobytes()
+        seq, m = build_circuit(table1, params), table1.num_nodes
+        want = []
+        for k, (gamma, beta) in enumerate(zip(params.gamma.tolist(), params.beta.tolist())):
+            want += [QaoaGate((i, j), k, "gamma", w, gamma) for i, j, w in sorted(table1.edges)]
+            want += [QaoaGate((q,), k, "beta", 1.0, beta) for q in range(m)]
+        assert seq.gates == tuple(want)
+        assert (seq.num_qubits, seq.gate_count) == (m, len(want))
+        assert seq.theta.tobytes() == np.array([g.angle for g in want]).tobytes()
+        rebuilt = GateSequence.of_gates(m, seq.gates)
+        assert rebuilt.gates == seq.gates and rebuilt.theta.tobytes() == seq.theta.tobytes()
 
     def test_built_on_first_use(self):
         # nothing is compiled at import: a fresh interpreter has empty caches

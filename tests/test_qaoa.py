@@ -209,7 +209,15 @@ def test_circuit_rejects_a_foreign_gate(table1):
     iswap = SimpleNamespace(targets=(0, 1), step=0, param="gamma", weight=1.0, angle=0.0, diag=None, matrix=ISWAP)
     for at in (0, 5, len(gates)):
         with pytest.raises(ValueError, match=f"gate {at} is a SimpleNamespace, not a QaoaGate"):
-            GateSequence(table1.num_nodes, gates[:at] + (iswap,) + gates[at:])
+            GateSequence.of_gates(table1.num_nodes, gates[:at] + (iswap,) + gates[at:])
+
+
+@pytest.mark.parametrize("targets", [(0, 7), (7,), (-1,)])
+def test_circuit_rejects_an_out_of_range_target(table1, targets):
+    gates = build_circuit(table1, QaoaParams([0.4], [0.3])).gates
+    stray = gates[0]._replace(targets=targets, param="gamma" if len(targets) == 2 else "beta")
+    with pytest.raises(ValueError, match=f"qubit index {targets[-1]} out of range for 7 qubits"):
+        GateSequence.of_gates(table1.num_nodes, gates[:3] + (stray,) + gates[3:])
 
 
 class TestWithShiftedGate:
@@ -219,7 +227,14 @@ class TestWithShiftedGate:
         assert shifted.gates[3].angle == pytest.approx(0.6)
         for i in range(seq.gate_count):
             if i != 3:
-                assert shifted.gates[i] is seq.gates[i]
+                assert shifted.gates[i] == seq.gates[i]
+
+    def test_keeps_the_layout(self, table1):
+        seq = build_circuit(table1, QaoaParams([0.1, -0.3], [0.2, 0.5]))
+        shifted = with_shifted_gate(with_shifted_gate(seq, 0, 0.5), -1, -0.25)
+        assert shifted.layout is seq.layout
+        assert shifted.theta[1:-1].tobytes() == seq.theta[1:-1].tobytes()
+        assert (shifted.theta[0], shifted.theta[-1]) == (seq.theta[0] + 0.5, seq.theta[-1] - 0.25)
 
     def test_shift_matches_rebuilt_mixer(self, single_edge):
         seq = build_circuit(single_edge, QaoaParams([0.3], [0.4]))

@@ -19,6 +19,7 @@ from noisyqaoa import (
 from noisyqaoa.noise import custom_channel
 from noisyqaoa.qaoa import QaoaGate
 from noisyqaoa.statevector import (
+    _pair_table,
     apply_1q,
     apply_ptm,
     apply_superop_1q,
@@ -29,7 +30,6 @@ from noisyqaoa.statevector import (
     mul_right_1q,
     pauli_to_density,
     rotate_pairs,
-    rotation_pairs,
 )
 from oracles import apply_kraus_exact, lift, measurement_probabilities, projector, pure_fidelity, sample_kraus
 
@@ -358,7 +358,7 @@ class TestPauliTransferKernels:
                 Z = np.diag([1.0, -1.0])
                 U = np.diag(np.exp(-1j * gate.angle * gate.weight * np.diag(lift(Z, i, m) @ lift(Z, j, m))))
             phi = 2.0 * gate.weight * gate.angle
-            pairs = rotation_pairs(gate, m)
+            pairs = _pair_table(m, gate.targets, False)
             r = coefficients(rho, basis)
             rotated = rotate_pairs(r, pairs, phi)
             expected = coefficients(U @ rho @ U.conj().T, basis)
