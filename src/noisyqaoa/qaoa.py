@@ -149,6 +149,17 @@ class GateSequence(NamedTuple):
         fields = zip(lay.targets, lay.steps.tolist(), lay.edge.tolist(), lay.w.tolist(), self.theta.tolist())
         return tuple(QaoaGate(t, k, "gamma" if e else "beta", w, a) for t, k, e, w, a in fields)
 
+    # equal and hashed as their qubit count and records, not as the tuple
+    # of a layout and an array, whose comparison has no truth value
+    def __eq__(self, other):
+        return isinstance(other, GateSequence) and (self.num_qubits, self.gates) == (other.num_qubits, other.gates)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.num_qubits, self.gates))
+
 
 class QaoaGate(NamedTuple):
     """A QAOA gate as an angle record: the edge gate

@@ -229,6 +229,17 @@ class TestWithShiftedGate:
             if i != 3:
                 assert shifted.gates[i] == seq.gates[i]
 
+    def test_circuits_compare_by_their_records(self, table1):
+        params = QaoaParams([0.1, -0.3], [0.2, 0.5])
+        seq, again = build_circuit(table1, params), build_circuit(table1, params)
+        copy = GateSequence.of_gates(table1.num_nodes, seq.gates)  # another layout object
+        shifted = with_shifted_gate(seq, 2, 0.1)
+        assert seq == again == copy and not seq != copy
+        assert hash(seq) == hash(again) == hash(copy)
+        assert seq != shifted and not seq == shifted
+        assert seq != build_circuit(table1, QaoaParams([0.1], [0.2])) and seq != seq.gates
+        assert len({seq, again, copy, shifted}) == 2
+
     def test_keeps_the_layout(self, table1):
         seq = build_circuit(table1, QaoaParams([0.1, -0.3], [0.2, 0.5]))
         shifted = with_shifted_gate(with_shifted_gate(seq, 0, 0.5), -1, -0.25)
