@@ -43,7 +43,9 @@ SAMPLED_ESTIMATE = {"sampled-cost": "f_noise", "sampled-cost-2000": "f_noise", "
                     "sampled-optimization": "noisy_cost"}
 # the sampled gradient and optimization drivers, one channel each (sized
 # to run in about a second), and the sampled cost at 2000 shots, where
-# many trajectories share a fault history
+# many trajectories share a fault history, under each channel: the
+# depolarizing one mixes X, Y and Z faults, dephasing faults only by Z and
+# bit-flip only by X
 SAMPLED_DRIVERS = {
     "sampled-gradient/depolarizing": (run_gradient_experiment, dict(
         channel="depolarizing", p_values=(0.0, 0.01, 0.05), num_iters=100)),
@@ -51,6 +53,10 @@ SAMPLED_DRIVERS = {
         channel="bitflip", p_values=(0.0, 0.02), num_iters=2)),
     "sampled-cost-2000/depolarizing": (run_cost_experiment, dict(
         channel="depolarizing", steps=(1, 2), p_values=(0.0, 0.02, 0.2), num_iters=100, shots=2000)),
+    "sampled-cost-2000/dephasing": (run_cost_experiment, dict(
+        channel="dephasing", steps=(1, 2), p_values=(0.0, 0.02, 0.2), num_iters=100, shots=2000)),
+    "sampled-cost-2000/bitflip": (run_cost_experiment, dict(
+        channel="bitflip", steps=(1, 2), p_values=(0.0, 0.02, 0.2), num_iters=100, shots=2000)),
 }
 TOL = 1e-12
 
