@@ -60,6 +60,12 @@ read the records. An exact noisy evaluator also keeps its layout's
 _ConeWork: the cone plan, the channel's scales on the cone and the
 adjoint's sigma stack, which gate k always writes at the same columns
 and so never needs clearing.
+
+The sampled path evolves a unitary-mixture channel's trajectories on a
+tree of shared fault prefixes (trajectory_states), one pass per noise
+event: the images of a Pauli fault (every fault of the named channels is
+X, Y or Z) are one gather times a phase in (1, -1, i, -i), exactly
+apply_1q's (_fault_tables); any other fault goes through apply_1q.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ from .statevector import (
     DensityMatrix,
     SimulationError,
     StateVector,
+    _bit,
     _check_targets,
     _pair_table,
     apply_1q,
@@ -116,13 +123,24 @@ class QaoaParams:
         return int(self.gamma.size)
 
 
-class GateSequence(NamedTuple):
-    """A compiled circuit: its layout, read-only and, for build_circuit's
-    circuits, kept per structure (see the module docstring), and theta, the
-    angle of each gate. gate_count is N = n * (E + m)."""
-
+class _CircuitFields(NamedTuple):
     layout: _Layout
     theta: np.ndarray
+
+
+class GateSequence(_CircuitFields):
+    """A compiled circuit: its layout, read-only and, for build_circuit's
+    circuits, kept per structure (see the module docstring), and theta, the
+    angle of each gate. gate_count is N = n * (E + m). The constructor
+    takes a _Layout; a circuit of QaoaGate records comes from of_gates."""
+
+    __slots__ = ()
+
+    def __new__(cls, layout: _Layout, theta: np.ndarray):
+        if not isinstance(layout, _Layout):
+            raise TypeError(f"GateSequence takes a circuit layout, got {type(layout).__name__}; "
+                            "build a circuit of QaoaGate records with GateSequence.of_gates(m, gates)")
+        return tuple.__new__(cls, (layout, theta))
 
     @classmethod
     def of_gates(cls, m: int, gates) -> GateSequence:
@@ -622,9 +640,38 @@ def _fault_events(weights: np.ndarray, faults: list, uniforms: np.ndarray) -> li
     return list(zip(np.split(rows[keep], cuts), np.split(branches[keep], cuts)))
 
 
+def _pauli_form(U: np.ndarray) -> tuple | None:
+    """(source, phase) when each row b of U has one nonzero entry, phase[b]
+    in (1, -1, i, -i) at column source[b], as X, Y and Z do; else None."""
+    source = (U != 0).argmax(axis=1)
+    phase = U[(0, 1), source]
+    if np.count_nonzero(U) != 2 or not np.isin(phase, (1, -1, 1j, -1j)).all():
+        return None
+    return tuple(source.tolist()), tuple(phase.tolist())
+
+
+@lru_cache(maxsize=64)
+def _fault_tables(m: int, q: int, forms: tuple) -> tuple:
+    """(source, phase), each (len(forms), 2^m) and read-only, such that
+    psi[..., source[l]] * phase[l] is U_l psi for the U_l of _pauli_form
+    forms[l] on qubit q (the identity for a form None). Built once per
+    (m, q, forms)."""
+    bit = _bit(m, q)
+    source, phase = zip(*[((0, 1), (1, 1)) if f is None else f for f in forms])
+    source = np.arange(1 << m) ^ ((bit ^ np.array(source)[:, bit]) << q)
+    phase = np.array(phase, dtype=complex)[:, bit]
+    for a in (source, phase):
+        a.setflags(write=False)
+    return source, phase
+
+
 def _trajectory_tree(m: int, gates: tuple, channel: NoiseChannel, uniforms: np.ndarray) -> tuple:
     """(states, index), with trajectory t ending in states[index[t]] (see
-    trajectory_states), for the circuit of the QaoaGate records on m qubits."""
+    trajectory_states), for the circuit of the QaoaGate records on m
+    qubits; some states may be ones no trajectory ends in. For a unitary
+    mixture, one np.unique per noise event numbers its new states by
+    (branch, parent), and one gather makes their Pauli images; only a
+    fault that is no Pauli runs apply_1q, on its slice of them."""
     T = len(uniforms)
     mixture = channel.unitary_mixture
     if mixture is None:
@@ -637,6 +684,9 @@ def _trajectory_tree(m: int, gates: tuple, channel: NoiseChannel, uniforms: np.n
         return states, np.arange(T)
     weights, unitaries = mixture
     faults = [l for l, U in enumerate(unitaries) if np.abs(U - np.eye(2)).max() > CPTP_TOL]
+    forms = tuple(map(_pauli_form, unitaries))
+    others = [l for l in faults if forms[l] is None and weights[l] > 0.0]  # a zero weight is never picked
+    tables = [_fault_tables(m, q, forms) for q in range(m)]
     events = _fault_events(weights, faults, uniforms)
     # a fault adds at most one state; compacted, the buffer holds at most T
     # states, and one event adds at most T
@@ -645,20 +695,23 @@ def _trajectory_tree(m: int, gates: tuple, channel: NoiseChannel, uniforms: np.n
     index, size, events = np.zeros(T, dtype=np.intp), 1, iter(events)
     for gate in gates:
         gate_on(states[:size], gate, m)
-        for q, (moving, picks) in zip(gate.targets, events):
-            for l in faults if moving.size else ():
-                rows = moving[picks == l]
-                if not rows.size:
-                    continue
-                if size + rows.size > len(states):  # drop the states no row points at
-                    live, index = np.unique(index, return_inverse=True)
-                    states[:live.size], size = states[live], live.size
-                parents, inverse = np.unique(index[rows], return_inverse=True)
-                states[size:size + parents.size] = apply_1q(states[parents], unitaries[l], q)
-                index[rows] = size + inverse
-                size += parents.size
-    live, index = np.unique(index, return_inverse=True)
-    return states[live], index
+        for q, (rows, picks) in zip(gate.targets, events):
+            if not rows.size:
+                continue
+            if size + rows.size > len(states):  # drop the states no row points at
+                live, index = np.unique(index, return_inverse=True)
+                states[:live.size], size = states[live], live.size
+            keys, inverse = np.unique(picks * size + index[rows], return_inverse=True)
+            branch, parents = np.divmod(keys, size)
+            new = states[size:size + keys.size]
+            source, phase = tables[q]
+            np.multiply(states[parents[:, None], source[branch]], phase[branch], out=new)
+            for l in others:
+                at = slice(*np.searchsorted(branch, (l, l + 1)))
+                new[at] = apply_1q(states[parents[at]], unitaries[l], q)
+            index[rows] = size + inverse
+            size += keys.size
+    return states[:size], index
 
 
 def trajectory_states(
@@ -686,7 +739,10 @@ def trajectory_states(
     prefixes: all start on one ideal state, each gate runs once per
     distinct state, and at a noise event only the rows with a fault
     there move, onto one copy of their parent state per (parent, branch)
-    with K_l / sqrt(w_l) applied. The kernels act on each row alone, so
+    with K_l / sqrt(w_l) applied. Each event makes its copies in one
+    pass: a Pauli fault (X, Y or Z, times a phase of +-1 or +-i) by a
+    gather of the parent's amplitudes and an exact phase product, any
+    other fault by apply_1q. The kernels act on each row alone, so
     every row is bit-equal to its own evolution from the start. Any
     other channel (amplitude damping, say) draws each branch from the
     state's own probabilities and renormalizes, one row per trajectory.
@@ -743,16 +799,18 @@ def cost_sampled(
     outcome per run and accumulates C_ij (2 p_ij - 1) with
     p_ij = phat00 + phat11. Returns (estimate, [((i, j), p_ij), ...]).
     A term's trajectories evolve on trajectory_states' tree of shared
-    fault prefixes, with one (i, j) marginal per distinct final state.
+    fault prefixes, with one (i, j) marginal per state of the tree. Each
+    term's uniforms are drawn into one reused (shots, events) buffer, the
+    same stream as rng.random((shots, events)).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     m, gates = circuit.num_qubits, circuit.gates
-    events = noise_event_count(circuit)
+    uniforms = np.empty((shots, noise_event_count(circuit)))
     estimate = 0.0
     per_edge = []
     for i, j, w in h.terms:
-        states, index = _trajectory_tree(m, gates, channel, rng.random((shots, events)))
+        states, index = _trajectory_tree(m, gates, channel, rng.random(out=uniforms))
         pr = np.abs(states) ** 2
         t = np.moveaxis(pr.reshape((-1,) + (2,) * m), (m - i, m - j), (1, 2))
         probs4 = t.reshape(len(states), 4, -1).sum(axis=2)

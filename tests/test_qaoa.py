@@ -212,6 +212,18 @@ def test_circuit_rejects_a_foreign_gate(table1):
             GateSequence.of_gates(table1.num_nodes, gates[:at] + (iswap,) + gates[at:])
 
 
+def test_circuit_constructor_takes_a_layout_only(table1):
+    # the old (m, gates) form would build a circuit whose layout is an int,
+    # which failed only at its first evaluation
+    seq = build_circuit(table1, QaoaParams([0.4], [0.3]))
+    with pytest.raises(TypeError, match=r"got int; .*GateSequence\.of_gates"):
+        GateSequence(table1.num_nodes, seq.gates)
+    layout, theta = GateSequence(*seq)
+    assert layout is seq.layout and theta is seq.theta
+    with pytest.raises(AttributeError):
+        seq.theta = theta
+
+
 @pytest.mark.parametrize("targets", [(0, 7), (7,), (-1,)])
 def test_circuit_rejects_an_out_of_range_target(table1, targets):
     gates = build_circuit(table1, QaoaParams([0.4], [0.3])).gates

@@ -1,4 +1,5 @@
-"""The trajectory tree against the row-by-row trajectory loop it replaced.
+"""The trajectory tree against the row-by-row trajectory loop it replaced,
+and its Pauli fault images against apply_1q.
 
 For a unitary-mixture channel, trajectory_states evolves each distinct
 fault history once, on a tree of shared prefixes, and cost_sampled takes
@@ -9,6 +10,7 @@ np.array_equal, and the sampled costs with ==.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,13 +26,15 @@ from noisyqaoa import (
     trajectory_states,
 )
 from noisyqaoa.noise import CPTP_TOL, custom_channel
-from noisyqaoa.qaoa import _fault_events, _select_branches, noise_event_count
+from noisyqaoa import qaoa
+from noisyqaoa.qaoa import _fault_events, _fault_tables, _pauli_form, _select_branches, noise_event_count
 from noisyqaoa.statevector import apply_1q, gate_on
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1j], [1j, 0.0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
+ROTATION = math.cos(0.3) * I2 - 1j * math.sin(0.3) * Y  # exp(-0.3i Y)
 
 PAULI_KINDS = ("dephasing", "bitflip", "depolarizing")
 TRIANGLE = WeightedGraph(3, ((0, 1, 1.0), (0, 2, -0.6), (1, 2, 0.8)))
@@ -45,6 +49,11 @@ CUSTOM = {
     # weights 0.95 + 0.05 sum to just below 1 in floating point
     "mixture-cdf-below-one": custom_channel(
         [math.sqrt(0.95) * I2, math.sqrt(0.05) * Z, np.zeros((2, 2))]),
+    # a fault that is not a Pauli: its images come from apply_1q
+    "rotation": custom_channel([math.sqrt(0.9) * I2, math.sqrt(0.1) * ROTATION]),
+    # a Pauli and a non-Pauli fault in one event
+    "pauli-and-rotation": custom_channel(
+        [math.sqrt(0.85) * I2, math.sqrt(0.1) * ROTATION, math.sqrt(0.05) * Y]),
 }
 
 
@@ -174,3 +183,79 @@ def test_uniform_below_one_picks_no_fault_when_the_last_nonzero_branch_is_the_id
     assert _select_branches(weights[:, None], np.array([r]))[0] == 1
     events = _fault_events(weights, faults, np.full((3, 4), r))
     assert len(events) == 4 and all(rows.size == picks.size == 0 for rows, picks in events)
+
+
+def random_states(rng, shape):
+    """Complex amplitudes with about a third of the real and imaginary
+    parts exactly zero, some of them negative zeros."""
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    for part in (re, im):
+        part[rng.random(shape) < 0.3] = 0.0
+        part[rng.random(shape) < 0.1] = -0.0
+    return re + 1j * im
+
+
+def image(m, q, U, psi):
+    """U on qubit q of each row of psi, as the tree makes a Pauli fault's image."""
+    source, phase = _fault_tables(m, q, (_pauli_form(U),))
+    return psi[:, source[0]] * phase[0]
+
+
+@pytest.mark.parametrize("p", [1e-4, 0.02, 0.3, 1.0])
+@pytest.mark.parametrize("kind", PAULI_KINDS)
+def test_named_channel_faults_are_exact_paulis(kind, p):
+    # every fault that can be picked (weight > 0) is X, Y or Z to the bit,
+    # so the tree makes its images by gather, equal to apply_1q's
+    weights, unitaries, faults = faults_of(make_channel(kind, p))
+    picked = [unitaries[l] for l in faults if weights[l] > 0.0]
+    assert len(picked) == (3 if kind == "depolarizing" else 1)
+    psi = random_states(np.random.default_rng(5), (8, 8))
+    for U in picked:
+        assert any(np.array_equal(U, P) for P in (X, Y, Z))
+        for q in range(3):
+            assert np.array_equal(image(3, q, U, psi), apply_1q(psi, U, q))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pauli_images_equal_apply_1q(m):
+    psi = random_states(np.random.default_rng(m), (40, 1 << m))
+    for P in (X, Y, Z, -X, 1j * Z):
+        for q in range(m):
+            assert np.array_equal(image(m, q, P, psi), apply_1q(psi, P, q))
+
+
+def test_only_unit_monomials_have_a_pauli_form():
+    assert _pauli_form(X) == ((1, 0), (1, 1)) and _pauli_form(Y) == ((1, 0), (-1j, 1j))
+    for U in (ROTATION, np.zeros((2, 2)), 0.5 * X, np.diag([1.0, np.exp(0.1j)]), np.ones((2, 2))):
+        assert _pauli_form(U) is None
+
+
+def test_tree_runs_one_unique_per_faulting_event(monkeypatch):
+    # one np.unique groups each event's new states; any more are buffer
+    # compactions, and a compaction needs at least T more faulting rows
+    # than the last (the buffer holds 1 + 2T states, at most T survive)
+    seq = circuit(TRIANGLE, 2, seed=5)
+    channel = make_channel("depolarizing", 0.3)
+    T = 200
+    uniforms = np.random.default_rng(41).random((T, noise_event_count(seq)))
+    weights, _, faults = faults_of(channel)
+    events = _fault_events(weights, faults, uniforms)
+    faulting = sum(rows.size > 0 for rows, _ in events)
+    fault_rows = sum(rows.size for rows, _ in events)
+    assert fault_rows > 2 * T
+    calls = {"unique": 0, "apply_1q": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kw):
+            if sys._getframe(1).f_code.co_name == "_trajectory_tree":
+                calls[name] += 1
+            return f(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+    monkeypatch.setattr(qaoa, "apply_1q", counted("apply_1q", qaoa.apply_1q))
+    states = trajectory_states(seq, channel, T, uniforms=uniforms)
+    monkeypatch.undo()
+    assert calls["unique"] <= faulting + fault_rows // T
+    assert calls["apply_1q"] == 0
+    assert np.array_equal(states, reference_states(seq, channel, uniforms))
