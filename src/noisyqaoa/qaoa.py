@@ -643,11 +643,10 @@ def _fault_events(weights: np.ndarray, faults: list, uniforms: np.ndarray) -> li
 def _pauli_form(U: np.ndarray) -> tuple | None:
     """(source, phase) when each row b of U has one nonzero entry, phase[b]
     in (1, -1, i, -i) at column source[b], as X, Y and Z do; else None."""
-    source = (U != 0).argmax(axis=1)
-    phase = U[(0, 1), source]
-    if np.count_nonzero(U) != 2 or not np.isin(phase, (1, -1, 1j, -1j)).all():
-        return None
-    return tuple(source.tolist()), tuple(phase.tolist())
+    entries = [[(c, v) for c, v in enumerate(row) if v] for row in U.tolist()]
+    if all(len(e) == 1 and e[0][1] in (1, -1, 1j, -1j) for e in entries):
+        return tuple(zip(*(e[0] for e in entries)))
+    return None
 
 
 @lru_cache(maxsize=64)
