@@ -65,7 +65,12 @@ The sampled path evolves a unitary-mixture channel's trajectories on a
 tree of shared fault prefixes (trajectory_states), one pass per noise
 event: the images of a Pauli fault (every fault of the named channels is
 X, Y or Z) are one gather times a phase in (1, -1, i, -i), exactly
-apply_1q's (_fault_tables); any other fault goes through apply_1q.
+apply_1q's (_fault_tables); any other fault goes through apply_1q. Its
+bookkeeping runs in linear passes, with no sort over states: the faults
+are found in one scan of the row-major (shots, events) uniforms, each
+event's fault histories are grouped by counting on a table of flags, and
+cost_sampled draws each shot's outcome from its final state's cdf, taken
+once per distinct state.
 """
 
 from __future__ import annotations
@@ -603,6 +608,20 @@ def _select_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(chosen < k, chosen, last)
 
 
+def _select_per_state(probs: np.ndarray, index: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """_select_branches(probs[index].T, r), with the branch probabilities of
+    state s in row s of probs (S, k) and uniform r[t] drawn on state
+    index[t]: each state's cdf and last branch of nonzero probability are
+    taken once, and each uniform is compared with one gathered cdf column
+    at a time."""
+    k = probs.shape[1]
+    chosen = np.zeros(r.shape, dtype=np.intp)
+    for cdf in np.cumsum(probs, axis=1).T:
+        chosen += r >= cdf[index]
+    last = k - 1 - np.argmax(probs[:, ::-1] > 1e-15, axis=1)
+    return np.where(chosen < k, chosen, last[index])
+
+
 def _sample_kraus_batch(
     states: np.ndarray, channel: NoiseChannel, qubit: int, r: np.ndarray, m: int
 ) -> np.ndarray:
@@ -629,15 +648,23 @@ def _fault_events(weights: np.ndarray, faults: list, uniforms: np.ndarray) -> li
     branch under _select_branches(weights[:, None, None], uniforms) is a
     fault. Only those outside the first identity branch's cdf interval
     (u >= w_0 when it comes first), or all with no identity branch, go
-    through _select_branches."""
-    u, cdf = uniforms.T, np.concatenate([[0.0], np.cumsum(weights)])
+    through _select_branches. They are found in one pass over the
+    row-major (rows, events) uniforms, then ordered by event."""
+    events = uniforms.shape[1]
+    u, cdf = uniforms.ravel(), np.concatenate([[0.0], np.cumsum(weights)])
     i = next((l for l in range(len(weights)) if l not in faults), None)
-    moved = np.ones(u.shape, dtype=bool) if i is None else (u >= cdf[i + 1]) | (u < cdf[i])
-    cols, rows = np.nonzero(moved)
-    branches = _select_branches(weights[:, None], u[cols, rows])
-    keep = np.isin(branches, faults)
-    cuts = np.searchsorted(cols[keep], np.arange(1, len(u)))
-    return list(zip(np.split(rows[keep], cuts), np.split(branches[keep], cuts)))
+    hits = np.arange(u.size) if i is None else np.flatnonzero((u >= cdf[i + 1]) | (u < cdf[i]))
+    branches = _select_branches(weights[:, None], u[hits])
+    is_fault = np.zeros(len(weights), dtype=bool)
+    is_fault[faults] = True
+    keep = is_fault[branches]
+    rows, cols = np.divmod(hits[keep], events)
+    # the hits run row-major, so a stable sort by event keeps each event's
+    # rows ascending; on a dtype of at most 16 bits numpy sorts by radix
+    order = np.argsort(cols.astype(np.min_scalar_type(events)), kind="stable")
+    rows, branches = rows[order], branches[keep][order]
+    ends = np.cumsum(np.bincount(cols, minlength=events)).tolist()
+    return [(rows[a:b], branches[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _pauli_form(U: np.ndarray) -> tuple | None:
@@ -664,13 +691,28 @@ def _fault_tables(m: int, q: int, forms: tuple) -> tuple:
     return source, phase
 
 
+def _distinct(keys: np.ndarray, bound: int) -> tuple:
+    """np.unique(keys, return_inverse=True) for integer keys in
+    [0, bound), by counting: the keys marked on a table of bound flags,
+    the marked ones read back in order, and each key's rank looked up."""
+    marked = np.zeros(bound, dtype=bool)
+    marked[keys] = True
+    distinct = marked.nonzero()[0]
+    rank = np.empty(bound, dtype=np.intp)
+    rank[distinct] = np.arange(distinct.size)
+    return distinct, rank[keys]
+
+
 def _trajectory_tree(m: int, gates: tuple, channel: NoiseChannel, uniforms: np.ndarray) -> tuple:
     """(states, index), with trajectory t ending in states[index[t]] (see
     trajectory_states), for the circuit of the QaoaGate records on m
     qubits; some states may be ones no trajectory ends in. For a unitary
-    mixture, one np.unique per noise event numbers its new states by
-    (branch, parent), and one gather makes their Pauli images; only a
-    fault that is no Pauli runs apply_1q, on its slice of them."""
+    mixture, _fault_events finds every fault in one pass over the
+    uniforms; per noise event, one counting grouping (_distinct) numbers
+    its new states by (branch, parent), in np.unique's sorted order, and
+    one gather makes their Pauli images; only a fault that is no Pauli
+    runs apply_1q, on its slice of them. A buffer compaction renumbers
+    the live states with the same grouping."""
     T = len(uniforms)
     mixture = channel.unitary_mixture
     if mixture is None:
@@ -698,9 +740,9 @@ def _trajectory_tree(m: int, gates: tuple, channel: NoiseChannel, uniforms: np.n
             if not rows.size:
                 continue
             if size + rows.size > len(states):  # drop the states no row points at
-                live, index = np.unique(index, return_inverse=True)
+                live, index = _distinct(index, size)
                 states[:live.size], size = states[live], live.size
-            keys, inverse = np.unique(picks * size + index[rows], return_inverse=True)
+            keys, inverse = _distinct(picks * size + index[rows], len(weights) * size)
             branch, parents = np.divmod(keys, size)
             new = states[size:size + keys.size]
             source, phase = tables[q]
@@ -741,10 +783,13 @@ def trajectory_states(
     with K_l / sqrt(w_l) applied. Each event makes its copies in one
     pass: a Pauli fault (X, Y or Z, times a phase of +-1 or +-i) by a
     gather of the parent's amplitudes and an exact phase product, any
-    other fault by apply_1q. The kernels act on each row alone, so
-    every row is bit-equal to its own evolution from the start. Any
-    other channel (amplitude damping, say) draws each branch from the
-    state's own probabilities and renormalizes, one row per trajectory.
+    other fault by apply_1q. The faults of all events are found in one
+    scan of the row-major uniforms, and each event's (parent, branch)
+    copies are numbered by counting, not by sorting. The kernels act on
+    each row alone, so every row is bit-equal to its own evolution from
+    the start. Any other channel (amplitude damping, say) draws each
+    branch from the state's own probabilities and renormalizes, one row
+    per trajectory.
     """
     events = noise_event_count(circuit)
     if uniforms is None:
@@ -800,7 +845,9 @@ def cost_sampled(
     A term's trajectories evolve on trajectory_states' tree of shared
     fault prefixes, with one (i, j) marginal per state of the tree. Each
     term's uniforms are drawn into one reused (shots, events) buffer, the
-    same stream as rng.random((shots, events)).
+    same stream as rng.random((shots, events)). The outcome of a shot is
+    drawn from its final state's cdf, summed once per state of the tree
+    (_select_per_state), by _select_branches' rule and rounding fallback.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -813,7 +860,7 @@ def cost_sampled(
         pr = np.abs(states) ** 2
         t = np.moveaxis(pr.reshape((-1,) + (2,) * m), (m - i, m - j), (1, 2))
         probs4 = t.reshape(len(states), 4, -1).sum(axis=2)
-        outcomes = _select_branches(probs4[index].T, rng.random(shots))
+        outcomes = _select_per_state(probs4, index, rng.random(shots))
         p_ij = float(np.mean((outcomes == 0) | (outcomes == 3)))
         per_edge.append(((i, j), p_ij))
         estimate += w * (2.0 * p_ij - 1.0)

@@ -191,11 +191,16 @@ def sector_position(f):
     return 2 * (f >> 2) + (f & 1)
 
 
+@lru_cache(maxsize=4)
 def even_sector(m: int) -> np.ndarray:
     """The flat index at each sector position c: 4 (c >> 1) + (c & 1)
-    + 2 * (the Y/Z parity of c >> 1)."""
+    + 2 * (the Y/Z parity of c >> 1). Built once per m and kept,
+    read-only, for every channel's ptm_scales: 4^m / 2 int64, 64 KB at
+    m = 7 and 64 MB at m = 12, for at most 4 sizes."""
     rest = np.arange(4 ** (m - 1))
-    return ((4 * rest + 2 * _odd(rest, m - 1))[:, None] + np.arange(2)).ravel()
+    S = ((4 * rest + 2 * _odd(rest, m - 1))[:, None] + np.arange(2)).ravel()
+    S.setflags(write=False)
+    return S
 
 
 def apply_ptm(r: np.ndarray, R: np.ndarray, qubit: int, out: np.ndarray) -> np.ndarray:

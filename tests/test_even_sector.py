@@ -151,6 +151,17 @@ class TestIndexMap:
         assert np.array_equal(S, np.flatnonzero(odd_parity(m) == 0))
         assert np.array_equal(sector_position(S), np.arange(S.size))
 
+    def test_channels_share_one_read_only_sector_per_size(self):
+        # every new channel's ptm_scales reads the sector of its size, so
+        # it is built once per m, and no caller can write to it
+        S = even_sector(4)
+        assert not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0] = 1
+        for kind in ("dephasing", "bitflip", "depolarizing"):
+            scales = make_channel(kind, 0.1).ptm_scales(4)
+            assert even_sector(4) is S and len(scales) == 4
+
     @given(m=st.integers(1, 5), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_sector_pairs_are_the_even_full_pairs(self, m, data):

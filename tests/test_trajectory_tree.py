@@ -27,7 +27,9 @@ from noisyqaoa import (
 )
 from noisyqaoa.noise import CPTP_TOL, custom_channel
 from noisyqaoa import qaoa
-from noisyqaoa.qaoa import _fault_events, _fault_tables, _pauli_form, _select_branches, noise_event_count
+from noisyqaoa.qaoa import (
+    _distinct, _fault_events, _fault_tables, _pauli_form, _select_branches, _select_per_state, noise_event_count,
+)
 from noisyqaoa.statevector import apply_1q, gate_on
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -165,12 +167,93 @@ def test_fault_first_selection_equals_the_full_rule(name, channel):
     edges = edges[(edges >= 0.0) & (edges < 1.0)]
     uniforms = np.concatenate([rng.random(400), edges, rng.choice(edges, 200)]).reshape(-1, 1)
     uniforms = np.hstack([uniforms, rng.permutation(uniforms)])
+    assert_events_follow_the_full_rule(weights, faults, uniforms)
+
+
+def assert_events_follow_the_full_rule(weights, faults, uniforms):
     branches = _select_branches(weights[:, None, None], uniforms)
     got = _fault_events(weights, faults, uniforms)
     assert len(got) == uniforms.shape[1]
     for col, (rows, picks) in enumerate(got):
         want = np.flatnonzero(np.isin(branches[:, col], faults))
         assert np.array_equal(rows, want) and np.array_equal(picks, branches[want, col])
+    return got
+
+
+# channels with an identity branch and a fault that can be picked
+EDGE_CHANNELS = [(name, channel) for name, channel in CHANNELS
+                 if len(faults_of(channel)[2]) < len(faults_of(channel)[0])
+                 and faults_of(channel)[0][faults_of(channel)[2]].max() > 0.0]
+
+
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("name, channel", EDGE_CHANNELS, ids=[name for name, _ in EDGE_CHANNELS])
+def test_fault_events_at_the_first_and_last_event_and_around_empty_ones(name, channel, T):
+    # the faults are found on the row-major (T, events) uniforms and then
+    # ordered by event, so the first and the last column, a column with no
+    # fault between two with faults, and a single row must all come out
+    # in event order with their rows ascending
+    weights, _, faults = faults_of(channel)
+    cdf = np.concatenate([[0.0], np.cumsum(weights)])
+    mid = (cdf[:-1] + cdf[1:]) / 2.0
+    identity = next(l for l in range(len(weights)) if l not in faults)
+    picked = [l for l in faults if weights[l] > 0.0]
+    uniforms = np.full((T, 5), mid[identity])
+    uniforms[:, 0] = mid[picked[0]]
+    uniforms[:, 4] = mid[picked[-1]]
+    uniforms[-1, 2] = mid[picked[len(picked) // 2]]
+    got = assert_events_follow_the_full_rule(weights, faults, uniforms)
+    assert [rows.size for rows, _ in got] == [T, 0, 1, 0, T]
+    assert np.array_equal(got[0][0], np.arange(T)) and np.array_equal(got[2][0], [T - 1])
+
+
+@pytest.mark.parametrize("count, bound", [(0, 1), (1, 1), (3, 3), (75, 1200), (5000, 401)])
+def test_counting_grouping_equals_unique(count, bound):
+    # the tree numbers each event's new states by counting on a table of
+    # bound flags; the numbering must be np.unique's, keys sorted
+    keys = np.random.default_rng(count).integers(0, bound, count)
+    keys[:min(count, 2)] = (0, bound - 1)[:min(count, 2)]
+    distinct, inverse = _distinct(keys, bound)
+    want, want_inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(distinct, want) and np.array_equal(inverse, want_inverse)
+
+
+def test_per_state_draw_equals_the_full_rule():
+    # cost_sampled draws each shot's outcome from its state's cdf, taken
+    # once per state; it must pick what _select_branches picks on the
+    # gathered marginals, rounding fallback included: a uniform at or above
+    # a state's total picks its last branch of nonzero probability
+    probs = np.array([
+        [0.3, 0.0, 0.0, 0.0],  # totals below 1, with last nonzero branch 0,
+        [0.2, 0.3, 0.0, 0.0],  # 1,
+        [0.1, 0.0, 0.4, 0.0],  # 2
+        [0.1, 0.2, 0.3, 0.3],  # and 3
+        [0.0, 0.5, 0.0, 0.5],  # zero-probability outcomes first and between
+        [0.5, 0.4, 0.0, 1e-16],  # a last entry below the nonzero cutoff
+        [0.7, 0.1, 0.1, 0.1],  # a total that rounds below 1
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    cdf = np.cumsum(probs, axis=1)
+    rng = np.random.default_rng(3)
+    index, r = [], []
+    for s, row in enumerate(cdf):
+        # each cdf entry exactly, its neighbours, 0, the largest uniform
+        # below 1, points above the total and random uniforms
+        u = np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 1.0), [0.0, np.nextafter(1.0, 0.0)],
+                            row[-1] + (1.0 - row[-1]) * rng.random(5), rng.random(20)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        index += [s] * u.size
+        r.append(u)
+    index, r = np.array(index), np.concatenate(r)
+    order = rng.permutation(r.size)
+    index, r = index[order], r[order]
+    want = _select_branches(probs[index].T, r)
+    assert np.array_equal(_select_per_state(probs, index, r), want)
+    # every state with a total below 1 met the fallback, which picked each
+    # of the four branches somewhere
+    fallback = r >= cdf[index, -1]
+    assert set(index[fallback]) == set(np.flatnonzero(cdf[:, -1] < 1.0)) == {0, 1, 2, 3, 5, 6, 7}
+    assert set(want[fallback]) == {0, 1, 2, 3}
 
 
 def test_uniform_below_one_picks_no_fault_when_the_last_nonzero_branch_is_the_identity():
@@ -231,9 +314,10 @@ def test_only_unit_monomials_have_a_pauli_form():
 
 
 def test_tree_runs_one_unique_per_faulting_event(monkeypatch):
-    # one np.unique groups each event's new states; any more are buffer
-    # compactions, and a compaction needs at least T more faulting rows
-    # than the last (the buffer holds 1 + 2T states, at most T survive)
+    # one counting grouping (_distinct, in place of np.unique) numbers each
+    # event's new states; any more are buffer compactions, and a compaction
+    # needs at least T more faulting rows than the last (the buffer holds
+    # 1 + 2T states, at most T survive)
     seq = circuit(TRIANGLE, 2, seed=5)
     channel = make_channel("depolarizing", 0.3)
     T = 200
@@ -243,7 +327,7 @@ def test_tree_runs_one_unique_per_faulting_event(monkeypatch):
     faulting = sum(rows.size > 0 for rows, _ in events)
     fault_rows = sum(rows.size for rows, _ in events)
     assert fault_rows > 2 * T
-    calls = {"unique": 0, "apply_1q": 0}
+    calls = {"unique": 0, "distinct": 0, "apply_1q": 0}
 
     def counted(name, f):
         def wrapper(*args, **kw):
@@ -253,9 +337,11 @@ def test_tree_runs_one_unique_per_faulting_event(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+    monkeypatch.setattr(qaoa, "_distinct", counted("distinct", qaoa._distinct))
     monkeypatch.setattr(qaoa, "apply_1q", counted("apply_1q", qaoa.apply_1q))
     states = trajectory_states(seq, channel, T, uniforms=uniforms)
     monkeypatch.undo()
-    assert calls["unique"] <= faulting + fault_rows // T
+    assert calls["unique"] == 0
+    assert faulting < calls["distinct"] <= faulting + fault_rows // T
     assert calls["apply_1q"] == 0
     assert np.array_equal(states, reference_states(seq, channel, uniforms))
